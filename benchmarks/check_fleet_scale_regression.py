@@ -6,14 +6,8 @@ Compares the fresh ``benchmarks/results/BENCH_fleet_scale.json``
 and drift report as ``check_fleet_regression.py``.  Everything gated is
 seed-deterministic virtual-time trajectory data — t₀, γ, infection and
 contact counts, materialization and golden-fork tallies, the α-sweep
-points, the parallel tier's trajectory record and the hybrid tier's
-halo/boundary/conservation accounting.
-
-Excluded on top of the shared wall-clock/memory set: the parallel
-tier's machine-dependent curve (``walls``, ``speedup``,
-``cores_available``) and per-worker topology accounting (``workers``,
-``peak_rss_bytes``) — the *trajectory* those runs realize is gated, the
-hardware they ran on is not.
+points and the hybrid tier's halo/boundary/conservation accounting.
+Only the shared wall-clock/memory set is excluded.
 
 Files are loaded through :mod:`baseline_util`, so a missing or
 half-written file fails with the one-line regeneration command instead
@@ -29,21 +23,16 @@ import sys
 from pathlib import Path
 
 from baseline_util import load_pair
-from check_fleet_regression import EXCLUDED, compare_payloads
+from check_fleet_regression import compare_payloads
 
 HERE = Path(__file__).resolve().parent
 BASELINE_PATH = HERE / "BENCH_fleet_scale.json"
 FRESH_PATH = HERE / "results" / "BENCH_fleet_scale.json"
 
-#: Machine/topology-dependent additions to the shared exclusion set.
-SCALE_EXCLUDED = EXCLUDED | {"walls", "speedup", "cores_available",
-                             "workers", "peak_rss_bytes"}
-
 
 def main() -> int:
     baseline, fresh = load_pair(BASELINE_PATH, FRESH_PATH)
-    return compare_payloads(baseline, fresh, "fleet-scale",
-                            excluded=SCALE_EXCLUDED)
+    return compare_payloads(baseline, fresh, "fleet-scale")
 
 
 if __name__ == "__main__":

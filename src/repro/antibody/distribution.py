@@ -215,9 +215,7 @@ class CommunityBus:
     def log_entries(self) -> list[tuple[int, str, str, float, float]]:
         """The append-only log as plain tuples
         ``(seq, bundle_id, app, produced_at, available_at)`` in publish
-        order — the bus's canonical history, picklable so fleet workers
-        can ship their replica's copy home for the cross-shard trace
-        check."""
+        order — the bus's canonical history."""
         return [(d.seq, d.bundle.bundle_id, d.bundle.app,
                  d.bundle.produced_at, d.available_at) for d in self._log]
 

@@ -27,18 +27,16 @@ literals alone.  Both forgeries the replay trial cannot expose — a
 wasted-cycles patch offset and a censoring filter — die here, still
 without booting a sandbox.
 
-Two entry points share the same trial:
-
-- :func:`verify_antibody` — one-shot: boot a fresh sandbox, run the
-  trial, throw the sandbox away.
-- :class:`SandboxVerifier` — the delivery-path form a fleet of
-  consumers uses (:meth:`~repro.runtime.sweeper.Sweeper.apply_bundle`).
-  It boots **one** sandbox per program image, snapshots the post-boot
-  state, and replays each bundle against a copy-on-write restore of
-  that snapshot — a sandboxed *fork*, so N consumers verifying the same
-  bundle pay one boot plus one replay, not N boots.  Results are
-  memoized per (image, bundle): verification is deterministic given
-  both, so the cached verdict is exactly what a re-run would produce.
+:class:`SandboxVerifier` is the one verification pipeline, used on a
+fleet's delivery path (:meth:`~repro.runtime.sweeper.Sweeper.apply_bundle`).
+It boots **one** sandbox per program image, snapshots the post-boot
+state, and replays each bundle against a copy-on-write restore of that
+snapshot — a sandboxed *fork*, so N consumers verifying the same bundle
+pay one boot plus one replay, not N boots.  Results are memoized per
+(image, bundle): verification is deterministic given both, so the
+cached verdict is exactly what a re-run would produce.
+:func:`verify_antibody` is the one-shot form: a fresh verifier, used
+once and thrown away.
 
 The sandbox loads its own fixed-seed layout, never the consumer's:
 verification answers "is this input genuinely detected as an attack",
@@ -91,10 +89,9 @@ def _unmatched_signature(bundle: AntibodyBundle):
 
 
 def _prescreen(bundle: AntibodyBundle) -> VerificationResult | None:
-    """The sandbox-free gates both entry points share: deferral for a
-    bundle without its exploit input, rejection for one whose
-    signatures fail the byte check.  None means the bundle may proceed
-    to the audit and trial."""
+    """The sandbox-free gates: deferral for a bundle without its
+    exploit input, rejection for one whose signatures fail the byte
+    check.  None means the bundle may proceed to the audit and trial."""
     if bundle.exploit_input is None:
         return VerificationResult(False, *_NO_INPUT, stage="deferred")
     bogus = _unmatched_signature(bundle)
@@ -124,30 +121,6 @@ def _run_trial(sandbox: Process, bundle: AntibodyBundle
             binding.uninstall()
     return VerificationResult(False, "none",
                               f"exploit did not trigger ({result.reason})")
-
-
-def verify_antibody(image, bundle: AntibodyBundle,
-                    seed: int = 1234) -> VerificationResult:
-    """Verify ``bundle`` against the program ``image`` in a sandbox.
-
-    Returns ``verified=True`` when the exploit input is detected with the
-    bundle's VSEFs installed.  A bundle without an exploit input cannot
-    be verified (the paper's piecemeal distribution means early bundles
-    may not carry it yet) — callers treat that as "apply now, verify when
-    the input arrives".
-    """
-    screened = _prescreen(bundle)
-    if screened is not None:
-        return screened
-    report = StaticAuditor().audit(image, bundle)
-    if not report.ok:
-        return VerificationResult(
-            False, "none", f"static audit rejected bundle: {report.detail}",
-            stage="audit")
-    sandbox = Process(image, seed=seed, name="sandbox")
-    # Let the server initialize, then feed only the exploit.
-    sandbox.run(max_steps=_SANDBOX_STEP_BUDGET)
-    return _run_trial(sandbox, bundle)
 
 
 class SandboxVerifier:
@@ -218,3 +191,16 @@ class SandboxVerifier:
                 "cache_hits": self.cache_hits,
                 "audit_screens": self.audit_screens,
                 "audit_rejects": self.audit_rejects}
+
+
+def verify_antibody(image, bundle: AntibodyBundle,
+                    seed: int = 1234) -> VerificationResult:
+    """Verify ``bundle`` against the program ``image`` in a sandbox.
+
+    Returns ``verified=True`` when the exploit input is detected with the
+    bundle's VSEFs installed.  A bundle without an exploit input cannot
+    be verified (the paper's piecemeal distribution means early bundles
+    may not carry it yet) — callers treat that as "apply now, verify when
+    the input arrives".
+    """
+    return SandboxVerifier(seed).verify(image, bundle)

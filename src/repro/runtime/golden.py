@@ -96,14 +96,6 @@ class GoldenImage:
     def boot_cycles(self) -> int:
         return self.snapshot.taken_at_cycles
 
-    def boot_stats_payload(self) -> dict:
-        """The layout-independent boot statistics as a plain picklable
-        dict — what a fleet worker ships to its coordinator so untouched
-        nodes anywhere in the fleet can synthesize their boot-state
-        report without the coordinator holding any golden image."""
-        return {"boot_clock_delta": self.boot_clock_delta,
-                "boot_cycles": self.boot_cycles}
-
     def fork_into(self, process: Process) -> ProcessSnapshot:
         """Install the golden boot state into a freshly loaded process.
 

@@ -704,32 +704,14 @@ class Sweeper:
         return outcome
 
     # -- introspection ------------------------------------------------------------------------
-    # The accessors below are the Sweeper's *serialization-boundary*
-    # surface: everything a fleet coordinator needs to know about a node
-    # hosted in another process, reduced to plain picklable values so a
-    # worker can ship them in one finalize message (and the in-process
-    # fleet reads the same accessors, keeping both paths honest).
 
     @property
     def boot_count(self) -> int:
         """How many times this node booted: 1, plus one per restart.
 
         Each eager-or-golden boot logs exactly one ``boot`` event, so
-        the event log is the authoritative count — which is what lets a
-        coordinator replay this node's golden-cache traffic (initial
-        layout, then the restart path's ``seed + 1`` layout per extra
-        boot) without sharing the cache object across processes."""
+        the event log is the authoritative count."""
         return sum(1 for event in self.events if event.kind == "boot")
-
-    def first_attack_latency(self) -> tuple[float, float | None] | None:
-        """``(detected_at, first_vsef_at)`` of the *first* analyzed
-        attack, or None when no attack ran — the producer-side numbers
-        behind the fleet's γ₁ measurement, detached from the live
-        :class:`AttackRecord` graph so they cross process boundaries."""
-        if not self.attacks:
-            return None
-        record = self.attacks[0]
-        return (record.detected_at, record.first_vsef_at)
 
     def installed_vsef_keys(self) -> frozenset:
         """The identity keys (:func:`vsef_key`) of every installed
@@ -743,26 +725,12 @@ class Sweeper:
         return tuple(s.sig_id for s in self.proxy.signatures.exact) \
             + tuple(s.sig_id for s in self.proxy.signatures.token)
 
-    def bundle_outcome_counts(self) -> tuple[int, int, int]:
-        """``(verified, rejected, deferred)`` over the bundle log —
-        the consumer-side verification tallies as plain ints."""
-        verified = rejected = deferred = 0
-        for outcome in self.bundle_log:
-            if outcome.verified is True:
-                verified += 1
-            elif outcome.verified is False:
-                rejected += 1
-            else:
-                deferred += 1
-        return verified, rejected, deferred
-
     def memory_page_identities(self) -> set[int]:
         """Identity set of every page this node holds — live memory plus
         all checkpoint snapshots.  COW-shared pages (golden forks,
         clean-interval checkpoints) appear once however many holders
         reference them, which is exactly what the fleet's sharing-factor
-        accounting sums per node and unions across a fleet (or across
-        one worker's slice of it)."""
+        accounting sums per node and unions across a fleet."""
         pages = self.process.memory.page_identities()
         for checkpoint in self.checkpoints.checkpoints:
             pages |= checkpoint.snapshot.memory.page_identities()

@@ -25,9 +25,6 @@ as assertable predicates.
 - :mod:`repro.spec.delivery` — :class:`DeliveryModel`, the
   :meth:`~repro.runtime.sweeper.Sweeper.apply_bundle`
   accept/reject/withhold outcomes and the installed-antibody state.
-- :mod:`repro.spec.trace` — cross-process history checks: the replica
-  buses the parallel fleet's workers observe must linearize to the one
-  model-legal history the coordinator's real bus defines.
 
 The models are *specs*, not reimplementations: they are deliberately
 naive (linear scans, no heaps, no indices) so that reading one is
@@ -43,8 +40,6 @@ from repro.spec.delivery import (DeliveryModel, DISPOSITION_APPLY,
                                  DISPOSITION_INSTALL, DISPOSITION_REJECT,
                                  DISPOSITION_WITHHOLD, disposition)
 from repro.spec.invariants import SpecViolation
-from repro.spec.trace import (assert_history_legal,
-                              assert_replicas_linearize)
 from repro.spec.verifier import (DEFERRED, REJECTED_AUDIT, REJECTED_FORGED,
                                  REJECTED_UNDETECTED, VERIFIED,
                                  VerifierModel, classify_result,
@@ -56,7 +51,6 @@ __all__ = [
     "DISPOSITION_APPLY", "DISPOSITION_INSTALL", "DISPOSITION_REJECT",
     "DISPOSITION_WITHHOLD",
     "SpecViolation",
-    "assert_history_legal", "assert_replicas_linearize",
     "VerifierModel", "classify_result", "model_verdict",
     "VERIFIED", "DEFERRED", "REJECTED_FORGED", "REJECTED_AUDIT",
     "REJECTED_UNDETECTED",

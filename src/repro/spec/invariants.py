@@ -5,10 +5,9 @@ Every predicate here raises :class:`SpecViolation` — an
 shrinking both treat a violation as a failing example — and is phrased
 against *model-level* data (sequence numbers, availability times,
 verdict categories), never against implementation internals.  The
-stateful suites in ``tests/test_spec_*.py`` call these after every rule;
-the cross-shard trace check (:mod:`repro.spec.trace`) calls the same
-predicates over worker-observed histories.  One statement of each
-invariant, asserted everywhere it must hold.
+stateful suites in ``tests/test_spec_*.py`` call these after every
+rule.  One statement of each invariant, asserted everywhere it must
+hold.
 
 Delivery invariants (the :class:`~repro.spec.bus.BusModel` refinement):
 

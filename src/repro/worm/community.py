@@ -82,8 +82,7 @@ def hybrid_fleet_config(scenario: Scenario, executed_nodes: int,
                         producers: int, seed: int = 0,
                         benign_rate: float = 0.01,
                         horizon: float = 300.0,
-                        max_contacts: int = 250_000,
-                        workers: int = 0) -> "FleetConfig":
+                        max_contacts: int = 250_000) -> "FleetConfig":
     """Map a Fig. 6-8 scenario onto an executed-core + Gillespie-halo
     fleet: ``executed_nodes`` real Sweeper guests embedded in the
     scenario's full population as modeled hosts.
@@ -116,8 +115,7 @@ def hybrid_fleet_config(scenario: Scenario, executed_nodes: int,
         benign_rate=benign_rate,
         horizon=horizon,
         max_contacts=max_contacts,
-        halo_hosts=scenario.population - executed_nodes,
-        workers=workers)
+        halo_hosts=scenario.population - executed_nodes)
 
 
 def end_to_end_gamma(analysis_seconds: float,

@@ -108,11 +108,10 @@ from repro.apps.httpd import build_httpd
 from repro.apps.squidp import build_squidp
 from repro.apps.workload import TrafficStream
 from repro.errors import ReproError
-from repro.machine.cpu import CPU_HZ
 from repro.machine.layout import randomized_layout
 from repro.machine.memory import PAGE_SIZE
 from repro.runtime.golden import GoldenImageCache
-from repro.runtime.sweeper import Sweeper, SweeperConfig, boot_layout
+from repro.runtime.sweeper import Sweeper, SweeperConfig
 from repro.worm.simulation import GillespieHalo, simulate_outbreak
 
 _BUILDERS = {"httpd": build_httpd, "squidp": build_squidp, "cvsd": build_cvsd}
@@ -188,15 +187,8 @@ class FleetConfig:
     post_immunity_slack: float = 6.0
     checkpoint_interval_ms: float = 200.0
     max_contacts: int = 100_000
-    #: Event-queue shards; 0 picks ~√N automatically.  Any value yields
-    #: the identical event order (the queue's push counter is global).
-    scheduler_shards: int = 0
-    #: Shard worker *processes* hosting the executed nodes (0 = host
-    #: everything in this process).  Nodes map to workers by
-    #: ``index % workers``; the coordinator keeps every epidemic rng
-    #: draw and pops the queue in global push-counter order, so the
-    #: trajectory is bit-identical at any worker count (see
-    #: :mod:`repro.worm.parallel`).
+    #: Every node runs in this process; 0 is the only accepted value.
+    #: Scale comes from the Gillespie halo below, not from more cores.
     workers: int = 0
     #: Gillespie halo: modeled hosts surrounding the executed core.  The
     #: epidemic population becomes ``vulnerable_nodes + halo_hosts``,
@@ -418,24 +410,17 @@ class FleetResult:
     #: Gillespie-halo accounting (None without a halo): modeled-tier
     #: counts, boundary crossings and the conservation check.
     halo: dict | None = None
-    #: Worker-pool accounting (None in-process): per-worker node
-    #: ownership, events executed and peak RSS.  Topology-dependent, so
-    #: excluded from trajectory comparisons like ``memory``.
-    workers: dict | None = None
     nodes: list[dict] = field(default_factory=list)
     gillespie: dict | None = None       # matched-seed simulate_outbreak
     model: dict | None = None           # solve_outbreak (needs scipy)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
-        # Absent features stay absent from the payload, so tracked
-        # baselines written before the halo/worker fields existed remain
-        # byte-stable and the regression gate's key walk never sees a
-        # one-sided key.
+        # An absent halo stays absent from the payload, so tracked
+        # baselines written before the halo existed remain byte-stable
+        # and the regression gate's key walk never sees a one-sided key.
         if self.halo is None:
             data.pop("halo")
-        if self.workers is None:
-            data.pop("workers")
         return data
 
 
@@ -492,21 +477,18 @@ def _validate(config: FleetConfig):
             f"address guess (hijack_region is None), so randomization "
             f"cannot attenuate it — emergent rho < 1 needs a layout-"
             f"dependent hijack")
-    if config.workers < 0 or config.workers > 64:
-        raise ReproError("workers must be between 0 (in-process) and 64")
+    if config.workers != 0:
+        raise ReproError(f"workers = {config.workers}: the fleet runs "
+                         f"every node in this process; only 0 is accepted")
     if config.halo_hosts < 0:
         raise ReproError("halo_hosts must be >= 0")
 
 
-# -- roster construction (shared with the parallel workers) ----------------
+# -- roster construction ---------------------------------------------------
 #
 # Building the fleet roster is a pure function of the config: cohort
 # planning, node configs, traffic/arrival rngs, image construction —
-# no booting, no rng shared with the epidemic process.  Worker
-# processes (:mod:`repro.worm.parallel`) rebuild the identical roster
-# from the pickled config alone, which is what makes the coordinator ↔
-# worker protocol small: messages carry node *indices*, never node
-# state.
+# no booting, no rng shared with the epidemic process.
 
 def plan_cohorts(config: FleetConfig) -> list[LayoutCohort]:
     """Draw the susceptible population's layout cohorts.
@@ -584,11 +566,9 @@ def build_roster(config: FleetConfig
     """Build the fleet roster as pure bookkeeping; no node boots here.
 
     Returns ``(nodes, images, cohorts)``.  Sweeper stacks materialize
-    on first delivered event (see :meth:`NodeHost._sweeper`), so a
+    on first delivered event (see :meth:`_FleetRun._sweeper`), so a
     512-node fleet only ever pays for the nodes the outbreak actually
-    touches.  Deterministic per config — coordinator and every worker
-    process build byte-identical rosters independently; the caller
-    subscribes the nodes it hosts to its own bus.
+    touches.  The caller subscribes the nodes to its bus.
     """
     emergent = config.entropy_bits > 0
     cohorts = plan_cohorts(config) if emergent else []
@@ -645,26 +625,71 @@ def build_roster(config: FleetConfig
     return nodes, images, cohorts
 
 
-class NodeHost:
-    """The node-hosting surface: materialize lazily, apply the bus,
-    deliver events.
+class _FleetRun:
+    """One in-flight execution of :func:`run_fleet`."""
 
-    Shared verbatim by the in-process fleet (:class:`_FleetRun`) and the
-    per-process worker harness (:class:`repro.worm.parallel`), so the
-    executed delivery semantics cannot drift between the sequential and
-    parallel paths.  A host provides ``images``, ``bus`` (the bus its
-    nodes poll), ``golden``, ``verifier`` and a ``materialized``
-    counter; producers publish to whatever :meth:`_node_bus` returns
-    (the real community bus in-process, a recording buffer in a
-    worker).
-    """
+    def __init__(self, config: FleetConfig):
+        _validate(config)
+        self.config = config
+        #: Emergent-ρ regime: consumer layouts randomized, ρ = 2^-b.
+        self.emergent = config.entropy_bits > 0
+        #: The analytic ρ cross-validation runs against — derived, never
+        #: steering an executed outcome.
+        self.rho = (2.0 ** -config.entropy_bits if self.emergent
+                    else config.rho)
+        #: The epidemic rng — consumed in exactly simulate_outbreak's
+        #: draw order so a fleet run is a matched Gillespie realization.
+        self.rng_contacts = random.Random(config.seed)
+        #: Node-identity rng: which concrete node within a drawn bucket.
+        self.detail = random.Random((config.seed << 16) ^ 0x5F1EE7)
+        self.bus = CommunityBus(dissemination_latency=config.gamma2)
+        self.golden = GoldenImageCache()
+        self.verifier = SandboxVerifier() if config.verify_bundles else None
+        self.materialized = 0
+        self.nodes, self.images, self.cohorts = build_roster(config)
+        for node in self.nodes:
+            self.bus.subscribe(node.name)
+        self.v_producers = [n for n in self.nodes
+                            if n.vulnerable and n.role == "producer"]
+        self.v_consumers = [n for n in self.nodes
+                            if n.vulnerable and n.role == "consumer"]
+        self.population = len(self.v_producers) + len(self.v_consumers)
+        self.susceptible = list(self.v_consumers)
+        self.infected: list[FleetNode] = []
+        #: The modeled tier: aggregate Gillespie state around the core.
+        self.halo = (GillespieHalo(config.halo_hosts, self.rho)
+                     if config.halo_hosts else None)
+        #: One payload stream for all halo attackers (a modeled attacker
+        #: has no per-node identity; the stream seed is disjoint from
+        #: every executed node's worm stream and from patient zero's).
+        self.halo_worm = (ExploitStream(config.worm_exploit,
+                                        seed=config.seed * 5_000_011 - 2)
+                          if self.halo else None)
+        self.total_population = self.population + config.halo_hosts
+        #: Core↔halo contact bookkeeping by (attacker tier, target tier).
+        self.boundary = {"core_to_core": 0, "core_to_halo": 0,
+                         "halo_to_core": 0, "halo_to_halo": 0}
+        self.queue = ShardedEventQueue(
+            max(1, int(round(config.total_nodes ** 0.5))))
+        self.t0: float | None = None
+        self.contacts = 0
+        self.contacts_to_producers = 0
+        self.contacts_blocked = 0
+        self.contacts_wasted = 0
+        self.contacts_faulted = 0
+        self.benign_sent = 0
+        self.benign_responses = 0
 
-    images: dict
-    golden: GoldenImageCache
-    materialized: int
+    # -- scheduling ---------------------------------------------------------
 
-    def _node_bus(self, node: FleetNode):
-        return self.bus if node.role == "producer" else None
+    def _cutoff(self) -> float:
+        avail = self.bus.first_available_time(self.config.vulnerable_app)
+        if avail is None:
+            return self.config.horizon
+        return min(self.config.horizon,
+                   avail + self.config.post_immunity_slack)
+
+    # -- delivery -----------------------------------------------------------
 
     def _sweeper(self, node: FleetNode) -> Sweeper:
         """The node's Sweeper stack, materializing it on first use.
@@ -678,7 +703,7 @@ class NodeHost:
             node.sweeper = Sweeper(
                 self.images[node.app], app_name=node.app,
                 config=node.config,
-                bus=self._node_bus(node),
+                bus=self.bus if node.role == "producer" else None,
                 golden=self.golden)
             self.materialized += 1
         return node.sweeper
@@ -706,108 +731,12 @@ class NodeHost:
         sweeper.schedule(data)
         return sweeper.advance()
 
-
-class _FleetRun(NodeHost):
-    """One in-flight execution of :func:`run_fleet`."""
-
-    def __init__(self, config: FleetConfig):
-        _validate(config)
-        self.config = config
-        #: Emergent-ρ regime: consumer layouts randomized, ρ = 2^-b.
-        self.emergent = config.entropy_bits > 0
-        #: The analytic ρ cross-validation runs against — derived, never
-        #: steering an executed outcome.
-        self.rho = (2.0 ** -config.entropy_bits if self.emergent
-                    else config.rho)
-        #: Worker pool, forked *before* the coordinator builds any heavy
-        #: state so the child processes start from a near-empty image
-        #: and rebuild their rosters from the config alone.
-        self.pool = None
-        if config.workers:
-            from repro.worm.parallel import FleetWorkerPool
-            self.pool = FleetWorkerPool(config)
-        #: The epidemic rng — consumed in exactly simulate_outbreak's
-        #: draw order so a fleet run is a matched Gillespie realization.
-        self.rng_contacts = random.Random(config.seed)
-        #: Node-identity rng: which concrete node within a drawn bucket.
-        self.detail = random.Random((config.seed << 16) ^ 0x5F1EE7)
-        self.bus = CommunityBus(dissemination_latency=config.gamma2)
-        self.golden = GoldenImageCache()
-        #: In-process verification only: with a worker pool the real
-        #: sandboxes live in the workers, and the coordinator replays
-        #: their accounting logically (see parallel._VerifierReplay).
-        self.verifier = (SandboxVerifier()
-                         if config.verify_bundles and not config.workers
-                         else None)
-        self.materialized = 0
-        self.nodes, self.images, self.cohorts = build_roster(config)
-        for node in self.nodes:
-            self.bus.subscribe(node.name)
-        self.v_producers = [n for n in self.nodes
-                            if n.vulnerable and n.role == "producer"]
-        self.v_consumers = [n for n in self.nodes
-                            if n.vulnerable and n.role == "consumer"]
-        self.population = len(self.v_producers) + len(self.v_consumers)
-        self.susceptible = list(self.v_consumers)
-        self.infected: list[FleetNode] = []
-        #: The modeled tier: aggregate Gillespie state around the core.
-        self.halo = (GillespieHalo(config.halo_hosts, self.rho)
-                     if config.halo_hosts else None)
-        #: One payload stream for all halo attackers (a modeled attacker
-        #: has no per-node identity; the stream seed is disjoint from
-        #: every executed node's worm stream and from patient zero's).
-        self.halo_worm = (ExploitStream(config.worm_exploit,
-                                        seed=config.seed * 5_000_011 - 2)
-                          if self.halo else None)
-        self.total_population = self.population + config.halo_hosts
-        #: Core↔halo contact bookkeeping by (attacker tier, target tier).
-        self.boundary = {"core_to_core": 0, "core_to_halo": 0,
-                         "halo_to_core": 0, "halo_to_halo": 0}
-        if self.pool is not None:
-            self.pool.bind(self)
-
-        shards = config.scheduler_shards or \
-            max(1, int(round(config.total_nodes ** 0.5)))
-        self.queue = ShardedEventQueue(shards)
-        self.t0: float | None = None
-        self.contacts = 0
-        self.contacts_to_producers = 0
-        self.contacts_blocked = 0
-        self.contacts_wasted = 0
-        self.contacts_faulted = 0
-        self.benign_sent = 0
-        self.benign_responses = 0
-
-    # -- scheduling ---------------------------------------------------------
-
-    def _push(self, t: float, kind: int, idx: int):
-        self.queue.push(t, kind, idx)
-
-    def _cutoff(self) -> float:
-        avail = self.bus.first_available_time(self.config.vulnerable_app)
-        if avail is None:
-            return self.config.horizon
-        return min(self.config.horizon,
-                   avail + self.config.post_immunity_slack)
-
-    # -- delivery -----------------------------------------------------------
-
     def _deliver_contact(self, node: FleetNode, payload: bytes,
                          t: float) -> bool:
-        """Deliver one worm contact; returns True if the host was owned.
-
-        With a worker pool the guest execution happens on the node's
-        owning worker (a synchronous round-trip, since infection state
-        feeds the very next epidemic draw); all bookkeeping — infected
-        roster, susceptible list, the attacker's payload stream — stays
-        here on the coordinator either way."""
-        if self.pool is not None:
-            owned = self.pool.dispatch_contact(node, payload, t)
-            node.contacts += 1
-        else:
-            responses = self._deliver(node, payload, t)
-            node.contacts += 1
-            owned = any(_INFECTION_MARKER in r for r in responses)
+        """Deliver one worm contact; returns True if the host was owned."""
+        responses = self._deliver(node, payload, t)
+        node.contacts += 1
+        owned = any(_INFECTION_MARKER in r for r in responses)
         if owned and not node.infected:
             node.infected = True
             node.infected_at = t
@@ -869,24 +798,15 @@ class _FleetRun(NodeHost):
     def _handle_benign(self, node: FleetNode, t: float):
         if node.infected:
             return                      # owned host: out of service
-        if self.pool is not None:
-            # Fire-and-forget: a benign event publishes nothing and
-            # feeds no epidemic draw, so the coordinator never waits on
-            # it — this is where the wall-clock parallelism comes from.
-            # Response tallies are collected once, at finalize.
-            self.pool.dispatch_benign(node, t)
-            node.requests += 1
-            self.benign_sent += 1
-        else:
-            responses = self._deliver(node, node.traffic.next_request(), t)
-            node.requests += 1
-            node.responses += len(responses)
-            self.benign_sent += 1
-            self.benign_responses += len(responses)
+        responses = self._deliver(node, node.traffic.next_request(), t)
+        node.requests += 1
+        node.responses += len(responses)
+        self.benign_sent += 1
+        self.benign_responses += len(responses)
         if self.config.benign_rate > 0:
             nxt = t + node.arrivals.expovariate(self.config.benign_rate)
             if nxt <= self._cutoff():
-                self._push(nxt, _KIND_BENIGN, node.index)
+                self.queue.push(nxt, _KIND_BENIGN, node.index)
 
     def _handle_contact(self, t: float):
         """One worm contact, mirroring simulate_outbreak's draws:
@@ -961,18 +881,11 @@ class _FleetRun(NodeHost):
         if self.contacts < self.config.max_contacts:
             gap = rng.expovariate(self.config.beta * self._infected_total())
             if t + gap <= self._cutoff():
-                self._push(t + gap, _KIND_CONTACT, -1)
+                self.queue.push(t + gap, _KIND_CONTACT, -1)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> FleetResult:
-        try:
-            return self._run()
-        finally:
-            if self.pool is not None:
-                self.pool.close()
-
-    def _run(self) -> FleetResult:
         config = self.config
         wall_start = time.perf_counter()
 
@@ -1007,7 +920,7 @@ class _FleetRun(NodeHost):
         # First contact gap, exactly as the Gillespie loop draws it.
         gap = self.rng_contacts.expovariate(config.beta * len(self.infected))
         if gap <= self._cutoff():
-            self._push(gap, _KIND_CONTACT, -1)
+            self.queue.push(gap, _KIND_CONTACT, -1)
 
         while True:
             event = self.queue.pop()
@@ -1168,44 +1081,26 @@ class _FleetRun(NodeHost):
         gamma = (availability - self.t0
                  if availability is not None and self.t0 is not None
                  else None)
-        if self.pool is not None:
-            # Guest state lives in the workers: one finalize round-trip
-            # per worker collects node reports, cycle counts, memory
-            # identity sets and the per-worker accounting; golden and
-            # verification stats come from the coordinator's logical
-            # replay of the sequential pattern (see parallel.py).
-            summary = self.pool.collect()
-            gamma1 = summary["gamma1"]
-            memory = summary["memory"]
-            materialized = summary["materialized"]
-            golden_stats = summary["golden"]
-            verification = summary["verification"]
-            reports = summary["reports"]
-            total_cycles = summary["total_cycles"]
-            self.benign_responses = summary["benign_responses"]
-            workers_stats = summary["workers"]
-        else:
-            gamma1 = None
-            for node in self.v_producers:
-                if node.sweeper is not None and node.sweeper.attacks:
-                    record = node.sweeper.attacks[0]
-                    if record.first_vsef_at is not None:
-                        gamma1 = record.first_vsef_at - record.detected_at
-                    break
-            # Accounting snapshots *before* report synthesis, which may
-            # materialize golden-less untouched nodes just to read their
-            # boot state.
-            memory = self._memory_stats()
-            materialized = self.materialized
-            golden_stats = self.golden.stats()
-            verification = self._verification_report()
-            workers_stats = None
-            reports = []
-            total_cycles = 0
-            for node in self.nodes:
-                report, cycles = self._node_report(node)
-                reports.append(report)
-                total_cycles += cycles
+        gamma1 = None
+        for node in self.v_producers:
+            if node.sweeper is not None and node.sweeper.attacks:
+                record = node.sweeper.attacks[0]
+                if record.first_vsef_at is not None:
+                    gamma1 = record.first_vsef_at - record.detected_at
+                break
+        # Accounting snapshots *before* report synthesis, which may
+        # materialize golden-less untouched nodes just to read their
+        # boot state.
+        memory = self._memory_stats()
+        materialized = self.materialized
+        golden_stats = self.golden.stats()
+        verification = self._verification_report()
+        reports = []
+        total_cycles = 0
+        for node in self.nodes:
+            report, cycles = self._node_report(node)
+            reports.append(report)
+            total_cycles += cycles
         infected_core = len(self.infected)
         infected_final = infected_core + \
             (self.halo.infected if self.halo is not None else 0)
@@ -1237,7 +1132,6 @@ class _FleetRun(NodeHost):
             layout=self._rho_report(),
             verification=verification,
             halo=self._halo_report(),
-            workers=workers_stats,
             nodes=reports)
         self._cross_validate(result)
         return result

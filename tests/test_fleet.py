@@ -241,21 +241,6 @@ class TestFleetAtScale:
             memory["page_bytes_per_node_sum"]
         assert memory["sharing_factor"] > 1.5
 
-    def test_scheduler_shards_do_not_change_the_trajectory(self):
-        """The tentpole determinism claim at fleet level: any shard
-        count realizes the identical executed trajectory."""
-        def run(shards):
-            config = FleetConfig(
-                seed=2, vulnerable_nodes=6, producers=1, extra_apps=(),
-                beta=1.0, benign_rate=0.3, horizon=40.0,
-                scheduler_shards=shards)
-            data = run_fleet(config).to_dict()
-            data.pop("wall_seconds")
-            data.pop("aggregate_insns_per_second")
-            return data
-
-        assert run(1) == run(4) == run(13)
-
     def test_gillespie_match_holds_with_lazy_boot(self, lazy_fleet):
         gillespie = lazy_fleet.gillespie
         assert gillespie is not None
@@ -488,3 +473,12 @@ class TestFleet:
         with pytest.raises(ReproError):
             run_fleet(FleetConfig(vulnerable_app="cvsd",
                                   worm_exploit="CVS"))
+
+    def test_workers_accepts_only_zero(self, small_fleet):
+        """Every node runs in this process: ``workers=0`` runs the
+        fleet, any other count is refused before anything boots."""
+        assert run_fleet(dataclasses.replace(SMALL, workers=0)).t0 \
+            == small_fleet.t0
+        for workers in (1, -1):
+            with pytest.raises(ReproError, match="workers"):
+                run_fleet(dataclasses.replace(SMALL, workers=workers))

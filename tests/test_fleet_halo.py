@@ -117,18 +117,6 @@ class TestHybridFleet:
         assert result.halo is None
         assert "halo" not in result.to_dict()
 
-    def test_hybrid_with_workers_bit_identical(self):
-        import dataclasses
-        strip = {"wall_seconds", "aggregate_insns_per_second",
-                 "memory", "workers"}
-        runs = []
-        for workers in (0, 2):
-            cfg = dataclasses.replace(HYBRID, workers=workers)
-            data = run_fleet(cfg).to_dict()
-            runs.append({k: v for k, v in data.items()
-                         if k not in strip})
-        assert runs[0] == runs[1]
-
 
 class TestHybridFactory:
     def test_slammer_mapping(self):

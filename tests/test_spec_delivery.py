@@ -7,7 +7,7 @@ Each example builds a real consumer stack — a cvs Sweeper with
 poll-and-apply / crash-restart / benign-service interleavings from the
 fixed bundle pool (genuine, forged-filter, byte-tampered, deferred,
 other-app bundles), mirroring the fleet's poll-on-wake consumer
-discipline (:meth:`NodeHost._apply_bus`).  After every step the real
+discipline (:meth:`repro.worm.fleet._FleetRun._apply_bus`).  After every step the real
 Sweeper must refine the composed models:
 
 - **rejection soundness, consumer side** — a rejected bundle installs

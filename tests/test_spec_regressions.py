@@ -19,15 +19,11 @@ and boot-checkpoint adoption surviving a rollback.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.antibody.distribution import AntibodyBundle, CommunityBus
 from repro.machine.process import load_program
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.sweeper import Sweeper, SweeperConfig
 from repro.spec.bus import BusModel, assert_bus_refines
-from repro.spec.invariants import SpecViolation
-from repro.spec.trace import assert_replicas_linearize
 from repro.spec.verifier import (REJECTED_AUDIT, VERIFIED, VerifierModel,
                                  assert_verifier_refines, classify_result)
 from tests.conftest import ECHO_SOURCE
@@ -259,25 +255,3 @@ def test_adopted_boot_checkpoint_survives_a_rollback():
     assert (third.seq, third.msg_cursor) == (3, 0)   # seqs never reused
     assert [(s, m) for s, m, _ in manager.retained()] == [(1, 0), (3, 0)]
 
-
-# -- cross-shard trace --------------------------------------------------------
-
-def test_replica_prefixes_linearize_and_foreign_entries_do_not():
-    """The fleet's cross-shard check in miniature: a replica that saw a
-    prefix of the coordinator's history linearizes; a replica with an
-    entry the coordinator never published is a divergence."""
-    bus = CommunityBus(dissemination_latency=1.0)
-    for produced_at in (0.0, 2.0, 5.0):
-        bus.publish(AntibodyBundle(app="cvs", produced_at=produced_at))
-    reference = bus.log_entries()
-
-    assert_replicas_linearize(reference, {"w0": reference[:2]},
-                              latency=1.0, require_complete=False)
-    with pytest.raises(SpecViolation):
-        assert_replicas_linearize(reference, {"w0": reference[:2]},
-                                  latency=1.0, require_complete=True)
-
-    foreign = list(reference[:2]) + [(2, "rogue", "cvs", 9.0, 10.0)]
-    with pytest.raises(SpecViolation):
-        assert_replicas_linearize(reference, {"w0": foreign},
-                                  latency=1.0, require_complete=False)
