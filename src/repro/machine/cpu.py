@@ -69,6 +69,15 @@ MAX_INSN_LENGTH = max(OP_LENGTHS.values())
 #: per-cell tail path.
 FUSION_LIMIT = 32
 
+#: Entries into a planned trace's head before its supercell is compiled.
+#: Planning is cheap, but compiling a trace execs ~1.4 KB of generated
+#: source (~0.5 ms), and most traces planned at load (golden forks,
+#: restarts, sandbox boots, instrumented replays) never run often, so
+#: the fused loop runs a pending head on its own cell and compiles the
+#: supercell on the ``FUSION_THRESHOLD``-th entry, for the next visit.
+#: 0 compiles every trace when it is planned.
+FUSION_THRESHOLD = 4
+
 
 class ControlEvent(NamedTuple):
     """One control transfer: kind is 'call', 'ret', 'branch' or 'native'.
@@ -129,16 +138,18 @@ class CPU:
         #: the full ``step()`` event contract with the per-step lookups
         #: hoisted.  Invalidated together with ``_decode_cache``.
         self._icells: dict[int, Callable] = {}
-        #: Fused traces: head pc -> (supercell, insn count, end address,
-        #: member (pc, insn) tuple).  Members are kept so invalidation
-        #: can re-split a partially stale trace.
+        #: Planned traces: head pc -> (supercell, or None until the head
+        #: gets hot; insn count; end address; member (pc, insn) tuple).
+        #: Members are kept so the head's threshold entry can compile
+        #: the plan and invalidation can re-split a partially stale one.
         self._traces: dict[int, tuple] = {}
         #: The fused loop's dispatch table: pc -> (fn, insn count).
-        #: Every cell appears with count 1; trace heads are overridden
-        #: by their supercell.
+        #: Every cell appears with count 1; a pending trace head maps to
+        #: a k=1 entry that counts entries and runs the head's cell, a
+        #: compiled one to its supercell.
         self._hot: dict[int, tuple] = {}
         #: Tier switch: False forces the plain per-cell loop even with
-        #: traces built (differential testing, debugging).
+        #: traces planned (differential testing, debugging).
         self.fusion_enabled = True
         #: Set by a faulting supercell: (faulting pc, uncharged cycles).
         self._trace_fault: tuple[int, int] | None = None
@@ -193,13 +204,21 @@ class CPU:
 
     @property
     def fused_trace_count(self) -> int:
-        """How many supercells (fused straight-line traces) are live."""
+        """How many traces are planned, compiled or still pending."""
         return len(self._traces)
+
+    @property
+    def compiled_trace_count(self) -> int:
+        """How many planned traces have a compiled supercell."""
+        return sum(1 for trace in self._traces.values()
+                   if trace[0] is not None)
 
     def predecode(self, start: int, end: int):
         """Predecode the read-only range ``[start, end)`` into executable
         cells (linear sweep; stops quietly at undecodable padding), then
-        fuse straight-line runs within basic blocks into supercells."""
+        plan straight-line runs within basic blocks as traces.  No trace
+        is compiled here: each compiles when its head gets hot (see
+        ``FUSION_THRESHOLD``)."""
         region = self.memory.region_at(start)
         if region is None or region.writable:
             return
@@ -214,14 +233,15 @@ class CPU:
         self._fuse_stream(stream)
 
     def _fuse_stream(self, stream: dict[int, Insn]):
-        """Merge maximal straight-line runs of fusible instructions —
+        """Plan maximal straight-line runs of fusible instructions —
         each closed by its block's terminating control transfer, when
-        present — into supercells.  A run ends at any block leader
+        present — as traces.  A run ends at any block leader
         (branch/call target, post-call return address), at any control
         transfer (which joins the trace as its tail), at SYS/HALT
         (which never compile), and at ``FUSION_LIMIT``; runs shorter
         than 2 stay per-cell.  Collected runs are then extended along
-        the recovered CFG (:meth:`_extend_runs`) before installation."""
+        the recovered CFG (:meth:`_extend_runs`) and planned
+        (:meth:`_plan_traces`); supercells compile later, on demand."""
         if not stream:
             return
         leaders = block_leaders(stream)
@@ -245,7 +265,7 @@ class CPU:
         runs = [r for r in runs if r]
         self._extend_runs(stream, runs)
         for run in runs:
-            self._install_traces(run)
+            self._plan_traces(run)
 
     def _extend_runs(self, stream: dict[int, Insn],
                      runs: list[list[tuple[int, Insn]]]):
@@ -291,29 +311,54 @@ class CPU:
                 visited.add(target)
                 run.extend(nxt[:FUSION_LIMIT - len(run)])
 
-    def _install_traces(self, run: list[tuple[int, Insn]]):
+    def _plan_traces(self, run: list[tuple[int, Insn]]):
+        """Plan ``run`` as ``FUSION_LIMIT``-sized traces.  Each head's
+        ``_hot`` entry becomes a pending k=1 entry that counts entries;
+        with ``FUSION_THRESHOLD`` 0 the supercell compiles right away."""
         for base in range(0, len(run), FUSION_LIMIT):
             items = run[base:base + FUSION_LIMIT]
             if len(items) < 2:
                 continue
-            fn = compile_trace(self, items)
-            if fn is None:
-                continue
             head = items[0][0]
             last_pc, last_insn = items[-1]
-            self._traces[head] = (fn, len(items),
+            self._traces[head] = (None, len(items),
                                   last_pc + last_insn.length, tuple(items))
-            self._hot[head] = (fn, len(items))
+            if FUSION_THRESHOLD > 0:
+                self._hot[head] = (self._pending_head(head), 1)
+            else:
+                self._compile_planned(head)
+
+    def _pending_head(self, head: int) -> Callable:
+        """The ``_hot`` cell of a planned trace's head: count the entry,
+        compile the supercell on the ``FUSION_THRESHOLD``-th one (the
+        next visit runs it), and execute the head's own cell."""
+        cell = self._cells[head]
+        entries = 0
+
+        def enter(cpu):
+            nonlocal entries
+            entries += 1
+            if entries >= FUSION_THRESHOLD:
+                cpu._compile_planned(head)
+            return cell(cpu)
+        return enter
+
+    def _compile_planned(self, head: int):
+        _fn, k, end, members = self._traces[head]
+        fn = compile_trace(self, list(members))
+        self._traces[head] = (fn, k, end, members)
+        self._hot[head] = (fn, k)
 
     def invalidate_code(self, start: int | None = None,
                         end: int | None = None):
         """Forget predecoded instructions overlapping ``[start, end)``
         (everything when no range is given).  Called when a code region
         is unmapped/remapped or patched, so stale decodings can never
-        execute.  Fused traces overlapping the range are *re-split*: the
-        trace is dropped and its still-valid prefix and suffix runs are
-        re-fused, so no supercell can replay stale bytes while untouched
-        instructions keep their fast path."""
+        execute.  Traces overlapping the range, compiled or pending, are
+        *re-split*: the plan is dropped and its still-valid prefix and
+        suffix runs are planned afresh (their entry counts restart), so
+        no supercell can replay or later compile stale bytes while
+        untouched instructions keep their fast path."""
         if start is None or end is None:
             self._decode_cache.clear()
             self._cells.clear()
@@ -352,9 +397,9 @@ class CPU:
                 if alive and linked:
                     chain.append((m_pc, m_insn))
                 else:
-                    self._install_traces(chain)
+                    self._plan_traces(chain)
                     chain = [(m_pc, m_insn)] if alive else []
-            self._install_traces(chain)
+            self._plan_traces(chain)
 
     def adopt_decoded(self, pcs):
         """Decode (and compile) every pc in ``pcs`` not yet decoded.
@@ -511,18 +556,20 @@ class CPU:
 
     def _run_fused(self, steps_left: int | None,
                    cycle_cap: int | None) -> tuple[int, str | None]:
-        """The fused hot loop: supercells where traces exist, plain
-        cells everywhere else, no VSEF probes, no hook dispatch.
+        """The fused hot loop: supercells where traces are compiled,
+        plain cells everywhere else, no VSEF probes, no hook dispatch.
 
         ``_hot`` maps every predecoded pc to ``(fn, k)``; one dict probe
-        dispatches either a single cell (k=1) or a whole straight-line
-        trace (k instructions in one call).  Budgets stay exact: a trace
-        larger than the remaining chunk is executed per-cell instead, so
-        a budget can pause execution mid-trace and resume (possibly on a
-        different tier) from any member pc.  A faulting supercell
-        reports the faulting pc and its uncharged tail cycles through
-        ``_trace_fault``; the ``finally`` below settles both, keeping
-        fault-time state bit-identical to per-cell execution.
+        dispatches either a single cell (k=1, including a pending trace
+        head counting its way to ``FUSION_THRESHOLD``) or a whole
+        straight-line trace (k instructions in one call).  Budgets stay
+        exact: a trace larger than the remaining chunk is executed
+        per-cell instead, so a budget can pause execution mid-trace and
+        resume (possibly on a different tier) from any member pc.  A
+        faulting supercell reports the faulting pc and its uncharged
+        tail cycles through ``_trace_fault``; the ``finally`` below
+        settles both, keeping fault-time state bit-identical to
+        per-cell execution.
         """
         hot_get = self._hot.get
         cells_get = self._cells.get

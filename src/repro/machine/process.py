@@ -418,10 +418,12 @@ class Process:
         them (rollback-for-recovery re-executes live).
 
         A rollback that crosses a code-change epoch drops every
-        predecoded cell and fused trace (they may describe bytes that no
-        longer exist on this timeline); the text section is re-predecoded
-        from the restored bytes so the fast path — including trace
-        fusion — is rebuilt rather than decaying to lazy per-pc decode.
+        predecoded cell and planned trace (they may describe bytes that
+        no longer exist on this timeline); the text section is
+        re-predecoded from the restored bytes so the fast path is
+        rebuilt rather than decaying to lazy per-pc decode.  That
+        re-plans its traces with fresh entry counts: each compiles
+        again only once its head gets hot.
         """
         epoch_crossed = snap.memory.code_epoch != self.memory.code_epoch
         self.memory.restore(snap.memory)

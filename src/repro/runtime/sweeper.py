@@ -749,9 +749,12 @@ class Sweeper:
             "checkpoint_cost_seconds":
                 self.checkpoints.total_cost_cycles / CPU_HZ,
             # Execution-core introspection: how much of the guest is
-            # served by the predecoded fast path, and how much memory
-            # churn the last checkpoint interval saw.
+            # served by the predecoded fast path, how many traces are
+            # planned and how many got hot enough to compile, and how
+            # much memory churn the last checkpoint interval saw.
             "predecoded_insns": cpu.predecoded_count,
+            "fused_traces": cpu.fused_trace_count,
+            "compiled_supercells": cpu.compiled_trace_count,
             "cow_page_copies": self.process.memory.cow_copies,
             "dirty_pages_last_checkpoint":
                 self.checkpoints.last_dirty_pages,

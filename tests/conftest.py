@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+from types import SimpleNamespace
+
 import pytest
 
 from repro.isa.assembler import assemble
+from repro.machine import cpu as cpu_module
 from repro.machine.layout import ReferenceLayout
 from repro.machine.process import Process
 
@@ -79,3 +83,52 @@ def heap_echo_process() -> Process:
 @pytest.fixture
 def reference_layout():
     return ReferenceLayout()
+
+
+@contextlib.contextmanager
+def fusion_threshold(value: int):
+    """Run the block with ``FUSION_THRESHOLD`` set to ``value``.  The
+    tier differentials plan their fused tier at 0, which compiles every
+    planned trace through the same install code when it is planned, so
+    that tier runs supercells from a head's first entry."""
+    saved = cpu_module.FUSION_THRESHOLD
+    cpu_module.FUSION_THRESHOLD = value
+    try:
+        yield
+    finally:
+        cpu_module.FUSION_THRESHOLD = saved
+
+
+@pytest.fixture
+def eager_fusion():
+    """Compile every trace when it is planned (at load, on re-split and
+    on re-predecode), so a test exercises real supercells."""
+    with fusion_threshold(0):
+        yield
+
+
+@contextlib.contextmanager
+def counting_supercells():
+    """Count the supercells compiled and executed inside the block.
+
+    Each compiled trace is wrapped in a shim that bumps ``executed`` and
+    calls through; ``compiled_items`` keeps every compiled member list,
+    so a test can show which bytes were ever compiled."""
+    counter = SimpleNamespace(compiled=0, executed=0, compiled_items=[])
+    compile_trace = cpu_module.compile_trace
+
+    def compile_counted(cpu, items):
+        fn = compile_trace(cpu, items)
+        counter.compiled += 1
+        counter.compiled_items.append(tuple(items))
+
+        def counted(machine):
+            counter.executed += 1
+            return fn(machine)
+        return counted
+
+    cpu_module.compile_trace = compile_counted
+    try:
+        yield counter
+    finally:
+        cpu_module.compile_trace = compile_trace

@@ -13,10 +13,13 @@ story when a patch lands inside a spliced region.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.errors import ProcessExited
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import Op
 from repro.machine.process import Process
+from tests.conftest import fusion_threshold
 
 #: Straight-line chain of unconditionally-jump-linked blocks, with a
 #: dead block between the head and its target so the splice is
@@ -86,24 +89,28 @@ def _snap(process: Process) -> dict:
 
 
 def _run_tiers(source: str, seed: int = 9, max_steps: int = 1_000):
-    """Run fused / plain / stepped to completion; return the fused
-    process plus the three final snapshots (which must already agree —
-    asserted here so every test gets the differential for free)."""
+    """Run fused (every trace compiled up front), fused at the default
+    threshold, plain and stepped to completion; return the up-front
+    fused process plus its final snapshot (all four must already agree
+    — asserted here so every test gets the differential for free)."""
     image = assemble(source)
-    fused = Process(image, seed=seed)
+    with fusion_threshold(0):
+        fused = Process(image, seed=seed)
+        assert fused.run(max_steps=max_steps).reason == "exit"
+    handover = Process(image, seed=seed)
     plain = Process(image, seed=seed)
     plain.cpu.fusion_enabled = False
     stepped = Process(image, seed=seed)
     stepped.cpu.fusion_enabled = False
-    assert fused.run(max_steps=max_steps).reason == "exit"
+    assert handover.run(max_steps=max_steps).reason == "exit"
     assert plain.run(max_steps=max_steps).reason == "exit"
     try:
         while True:
             stepped.cpu.step()
     except ProcessExited:
         pass
-    snaps = [_snap(p) for p in (fused, plain, stepped)]
-    assert snaps[0] == snaps[1] == snaps[2]
+    snaps = [_snap(p) for p in (fused, handover, plain, stepped)]
+    assert snaps[0] == snaps[1] == snaps[2] == snaps[3]
     return fused, snaps[0]
 
 
@@ -162,6 +169,7 @@ def test_address_taken_helper_is_not_inlined():
             "address-taken helper must not be spliced into a caller trace"
 
 
+@pytest.mark.usefixtures("eager_fusion")
 def test_patch_inside_spliced_region_resplits_trace():
     """A patch landing in the spliced-in block must drop the extended
     supercell; surviving members re-fuse along still-valid links and
@@ -178,6 +186,7 @@ def test_patch_inside_spliced_region_resplits_trace():
     assert process.cpu.regs[0] == 1 + 0x20 + 4
 
 
+@pytest.mark.usefixtures("eager_fusion")
 def test_budget_pause_inside_spliced_region_resumes_checked():
     """A step budget pausing inside the spliced-in portion of an
     extended trace must land on the exact next pc (in another block!)

@@ -6,9 +6,11 @@ supercells + cells), **plain** (per-instruction cells), **checked**
 event emission).  The contract is that the tier is *purely* an
 implementation detail: registers, flags, memory, cycle counts, the
 control ring and every fault must be bit-identical across all of them.
-These tests run the same guest programs down every tier and diff the
-final machine state, and they exercise the dirty-page bitmap through
-snapshot/restore round-trips.
+These tests run the same guest programs down every tier — the fused one
+twice, with every trace compiled before its first entry and at the
+default ``FUSION_THRESHOLD`` — and diff the final machine state, and
+they exercise the dirty-page bitmap through snapshot/restore
+round-trips.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.errors import VMFault
 from repro.instrument.hooks import Tool
 from repro.isa.assembler import assemble
 from repro.machine.process import Process
+from tests.conftest import fusion_threshold
 
 _ALU = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr"]
 _COND = ["je", "jne", "jl", "jle", "jg", "jge", "jb", "jae"]
@@ -88,11 +91,15 @@ def _benign_check(cpu, insn):
 
 def run_differential(source: str, feeds=(), max_steps: int = 500_000,
                      seed: int = 7):
-    """Run ``source`` down all four run-loop tiers; assert identical
-    state.  Returns the fused process, the instrumented one and its
-    tool (kept for callers asserting on event counts)."""
+    """Run ``source`` down all four run-loop tiers, the fused one with
+    every trace compiled up front and again at the default threshold;
+    assert identical state.  Returns the up-front fused process, the
+    instrumented one and its tool (kept for callers asserting on event
+    counts)."""
     image = assemble(source)
-    fused = Process(image, seed=seed)
+    with fusion_threshold(0):
+        fused = Process(image, seed=seed)
+    handover = Process(image, seed=seed)
     plain = Process(image, seed=seed)
     plain.cpu.fusion_enabled = False
     checked = Process(image, seed=seed)
@@ -100,7 +107,7 @@ def run_differential(source: str, feeds=(), max_steps: int = 500_000,
     instrumented = Process(image, seed=seed)
     tool = TouchEverything()
     instrumented.hooks.attach(tool, instrumented)
-    processes = [fused, plain, checked, instrumented]
+    processes = [fused, handover, plain, checked, instrumented]
     for process in processes:
         for data in feeds:
             process.feed(data)
@@ -246,7 +253,8 @@ def test_stepped_and_batched_identical():
     instruction (same cells, same accounting)."""
     rng = random.Random(99)
     source = _random_program(rng, length=40)
-    batched = Process(assemble(source), seed=5)
+    with fusion_threshold(0):
+        batched = Process(assemble(source), seed=5)
     stepped = Process(assemble(source), seed=5)
     batched.run(max_steps=10_000)
     from repro.errors import ProcessExited

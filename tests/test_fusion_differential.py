@@ -5,8 +5,11 @@ loops, forward branches, loads/stores (aligned, unaligned and
 page-crossing), call/ret (direct and indirect), native library calls,
 balanced stack traffic, self-patching code executed from writable
 memory, and occasional faulting accesses.  Every program is executed
-under three drivers — the fused tier, the plain per-cell tier, and a
-raw ``step()`` loop — through the same schedule of step-budget slices,
+under four drivers — the fused tier with every planned trace compiled
+before its first entry, the fused tier at the default
+``FUSION_THRESHOLD`` (heads hand over from their cells to supercells
+mid-run), the plain per-cell tier, and a raw ``step()`` loop — through
+the same schedule of step-budget slices,
 with a benign VSEF check armed and disarmed between slices (so budgets
 can pause execution mid-trace and resume on the checked tier).  At
 every slice boundary the full architectural state must be bit-identical:
@@ -16,7 +19,10 @@ dirty-page bitmap, sent messages, VSEF hit sequences and any fault.
 Alongside the generator, targeted regression tests pin the invalidation
 story: patching code mid-trace must drop/re-split the supercell (both
 forward and across a checkpoint rollback), and mid-trace faults must
-charge exactly the executed prefix.
+charge exactly the executed prefix.  Handover tests pin lazy
+compilation at the default threshold: a head crossing the threshold at
+a slice boundary, a patch over a pending plan, and a rollback that
+re-plans and restarts the entry counts.
 
 Seeds and program count come from ``FUSION_DIFF_SEED`` (comma-separated)
 and ``FUSION_DIFF_PROGRAMS``; CI runs the suite under two seeds.
@@ -24,6 +30,7 @@ and ``FUSION_DIFF_PROGRAMS``; CI runs the suite under two seeds.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 
@@ -31,8 +38,11 @@ import pytest
 
 from repro.errors import ProcessExited, VMFault
 from repro.isa.assembler import assemble
+from repro.isa.encoding import decode
 from repro.isa.opcodes import Op
+from repro.machine import cpu as cpu_module
 from repro.machine.process import Process, _WouldBlock
+from tests.conftest import counting_supercells, fusion_threshold
 
 SEEDS = [int(s) for s in
          os.environ.get("FUSION_DIFF_SEED", "11,23").split(",")]
@@ -118,7 +128,9 @@ def _native_gadget(rng: random.Random) -> list[str]:
 
 
 def _loop_gadget(rng: random.Random, index: int) -> list[str]:
-    lines = [f" mov r5, {rng.randrange(1, 5)}", f"LP{index}:"]
+    """A bounded loop of 1, 4, 9 or 16 iterations: its head is entered
+    below, exactly at and past the default ``FUSION_THRESHOLD``."""
+    lines = [f" mov r5, {rng.randrange(1, 5) ** 2}", f"LP{index}:"]
     for _ in range(rng.randrange(2, 5)):
         lines.append(_soup_line(rng))
     lines += [" sub r5, 1", " cmp r5, 0", f" jne LP{index}"]
@@ -222,12 +234,23 @@ def _run_slice_stepped(process: Process, max_steps: int):
 
 def _drive(image, seed: int, tier: str, schedule, check_pc: int | None):
     """Run one process through the slice schedule; return the per-slice
-    observations (run reason, state snapshot, fault, check hits)."""
-    process = Process(image, seed=seed)
-    if tier == "plain":
-        process.cpu.fusion_enabled = False
-    run_slice = _run_slice_stepped if tier == "stepped" \
-        else _run_slice_batched
+    observations (run reason, state snapshot, fault, check hits).
+
+    ``fused`` compiles every planned trace before its first entry;
+    ``handover`` runs at the default ``FUSION_THRESHOLD``."""
+    eager = fusion_threshold(0) if tier == "fused" \
+        else contextlib.nullcontext()
+    with eager:
+        process = Process(image, seed=seed)
+        if tier == "plain":
+            process.cpu.fusion_enabled = False
+        run_slice = _run_slice_stepped if tier == "stepped" \
+            else _run_slice_batched
+        return _run_schedule(process, run_slice, schedule, check_pc)
+
+
+def _run_schedule(process: Process, run_slice, schedule,
+                  check_pc: int | None):
     hits: list[int] = []
 
     def check(cpu, insn):
@@ -270,27 +293,36 @@ def _check_pc_inside_trace(image, seed: int) -> int | None:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_programs_bit_identical_across_tiers(seed):
     rng = random.Random(seed)
-    fused_traces_seen = 0
-    for index in range(NUM_PROGRAMS):
-        source = generate_program(rng)
-        image = assemble(source)
-        proc_seed = seed * 1000 + index
-        check_pc = _check_pc_inside_trace(image, proc_seed)
-        schedule = [
-            (rng.randrange(7, 157), None),
-            (rng.randrange(7, 157), "arm"),
-            (rng.randrange(7, 157), None),
-            (rng.randrange(7, 157), "disarm"),
-            (30_000, None),
-        ]
-        baseline = _drive(image, proc_seed, "fused", schedule, check_pc)
-        fused_traces_seen += 1 if check_pc is not None else 0
-        for tier in ("plain", "stepped"):
-            other = _drive(image, proc_seed, tier, schedule, check_pc)
-            assert other == baseline, \
-                f"seed={seed} program={index} tier={tier} diverged"
-    # The generator must actually exercise fusion, not vacuously pass.
-    assert fused_traces_seen > NUM_PROGRAMS * 0.8
+    programs_fused = 0
+    handover_executed = 0
+    with counting_supercells() as counter:
+        for index in range(NUM_PROGRAMS):
+            source = generate_program(rng)
+            image = assemble(source)
+            proc_seed = seed * 1000 + index
+            check_pc = _check_pc_inside_trace(image, proc_seed)
+            schedule = [
+                (rng.randrange(7, 157), None),
+                (rng.randrange(7, 157), "arm"),
+                (rng.randrange(7, 157), None),
+                (rng.randrange(7, 157), "disarm"),
+                (30_000, None),
+            ]
+            before = counter.executed
+            baseline = _drive(image, proc_seed, "fused", schedule, check_pc)
+            programs_fused += counter.executed > before
+            for tier in ("handover", "plain", "stepped"):
+                before = counter.executed
+                other = _drive(image, proc_seed, tier, schedule, check_pc)
+                if tier == "handover":
+                    handover_executed += counter.executed - before
+                assert other == baseline, \
+                    f"seed={seed} program={index} tier={tier} diverged"
+    # The generator must actually exercise fusion, not vacuously pass:
+    # supercells must *execute*, both compiled up front and after heads
+    # get hot at the default threshold.
+    assert programs_fused > NUM_PROGRAMS * 0.8
+    assert handover_executed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +330,11 @@ def test_random_programs_bit_identical_across_tiers(seed):
 # ---------------------------------------------------------------------------
 
 def _tier_processes(source: str, seed: int = 3):
+    """A fused process with every trace compiled up front, and its
+    plain per-cell twin."""
     image = assemble(source)
-    fused = Process(image, seed=seed)
+    with fusion_threshold(0):
+        fused = Process(image, seed=seed)
     plain = Process(image, seed=seed)
     plain.cpu.fusion_enabled = False
     return fused, plain
@@ -353,6 +388,7 @@ def _addri_at(process: Process, offset: int) -> int:
     return pc
 
 
+@pytest.mark.usefixtures("eager_fusion")
 def test_patch_mid_trace_drops_stale_supercell():
     """Patching an instruction in the middle of a fused trace must take
     effect on the next execution — the supercell may not replay the old
@@ -374,6 +410,7 @@ def test_patch_mid_trace_drops_stale_supercell():
     assert process.cpu.regs[0] == 1 + 0x20 + 4
 
 
+@pytest.mark.usefixtures("eager_fusion")
 def test_rollback_across_patch_rebuilds_traces_from_restored_bytes():
     """A checkpoint rollback that crosses a code patch (a code-epoch
     change) must re-split/rebuild the fused traces from the *restored*
@@ -393,6 +430,7 @@ def test_rollback_across_patch_rebuilds_traces_from_restored_bytes():
     assert process.cpu.regs[0] == 7
 
 
+@pytest.mark.usefixtures("eager_fusion")
 def test_patch_resplits_trace_into_prefix_and_suffix():
     source = (".text\nmain:\n mov r1, 1\n add r1, 2\n add r1, 3\n"
               " add r1, 4\n add r1, 5\n add r1, 6\n add r1, 7\n halt\n")
@@ -409,6 +447,7 @@ def test_patch_resplits_trace_into_prefix_and_suffix():
     assert process.cpu.regs[1] == 1 + 2 + 3 + 10 + 5 + 6 + 7
 
 
+@pytest.mark.usefixtures("eager_fusion")
 def test_budget_pause_mid_trace_resumes_on_checked_tier():
     """A step budget can pause execution in the middle of a fused trace;
     a VSEF check armed at the next pc must fire when execution resumes
@@ -426,6 +465,138 @@ def test_budget_pause_mid_trace_resumes_on_checked_tier():
     assert result.reason == "exit"
     assert process.cpu.regs[0] == 15
     assert len(hits) == 1
+
+
+# ---------------------------------------------------------------------------
+# Handover: at the default threshold a trace compiles when its head is hot
+# ---------------------------------------------------------------------------
+
+#: A counted loop.  ``LP`` heads a planned six-instruction trace; the
+#: two movs before it plan a trace of their own, entered once.
+_LOOP = """
+.text
+main:
+ mov r0, 0
+ mov r5, {iters}
+LP:
+ add r0, 3
+ add r0, 5
+ xor r0, r5
+ sub r5, 1
+ cmp r5, 0
+ jne LP
+ halt
+"""
+_LOOP_PROLOGUE = 2
+_LOOP_BODY = 6
+
+
+def _handover_twins(iters: int, seed: int = 5):
+    """The loop at the default threshold, and its plain per-cell twin."""
+    image = assemble(_LOOP.format(iters=iters))
+    hot = Process(image, seed=seed)
+    plain = Process(image, seed=seed)
+    plain.cpu.fusion_enabled = False
+    return hot, plain
+
+
+def _steps_before_entry(entry: int) -> int:
+    """Steps executed when ``LP`` is about to be entered for the
+    ``entry``-th time (1-based)."""
+    return _LOOP_PROLOGUE + _LOOP_BODY * (entry - 1)
+
+
+def _run_both(hot: Process, plain: Process, max_steps: int) -> str:
+    """One slice on each twin; registers, flags, pc, cycles, control
+    ring, memory and dirty bitmap must agree after it."""
+    reason = hot.run(max_steps=max_steps).reason
+    assert plain.run(max_steps=max_steps).reason == reason
+    assert _state(hot) == _state(plain)
+    return reason
+
+
+def test_head_crossing_threshold_at_slice_boundary_hands_over():
+    """A slice that pauses exactly at the crossing: its last step is the
+    head's threshold-th entry, which runs the head's own cell and
+    compiles the supercell; the next slice resumes mid-trace per cell
+    and runs the supercell from the following entry on."""
+    threshold = cpu_module.FUSION_THRESHOLD
+    hot, plain = _handover_twins(iters=threshold + 3)
+    head = hot.symbols["LP"]
+    with counting_supercells() as counter:
+        assert _run_both(hot, plain,
+                         _steps_before_entry(threshold)) == "steps"
+        assert hot.cpu.pc == head
+        assert hot.cpu._traces[head][0] is None       # still pending
+        assert hot.cpu._hot[head][1] == 1
+        assert _run_both(hot, plain, 1) == "steps"
+        assert hot.cpu.pc == head + 6                 # paused mid-trace
+        assert hot.cpu._traces[head][0] is not None   # for the next visit
+        assert hot.cpu._hot[head][1] == _LOOP_BODY
+        assert counter.executed == 0
+        assert _run_both(hot, plain, 1_000) == "exit"
+    assert counter.compiled == 1
+    assert counter.executed == 3
+
+
+def test_patch_over_pending_trace_resplits_before_compiling():
+    """A ``write_unchecked`` patch over a member of a planned, not yet
+    compiled trace re-splits the plan: the patched bytes run, the
+    surviving suffix is planned afresh and compiles once its own head
+    gets hot, and the stale instruction is never compiled."""
+    threshold = cpu_module.FUSION_THRESHOLD
+    hot, plain = _handover_twins(iters=2 * threshold + 2)
+    head = hot.symbols["LP"]
+    patch_pc = head + 6                               # the 'add r0, 5'
+    with counting_supercells() as counter:
+        assert _run_both(hot, plain,
+                         _steps_before_entry(threshold)) == "steps"
+        assert hot.cpu._traces[head][0] is None
+        for process in (hot, plain):
+            process.memory.write_unchecked(patch_pc + 2,
+                                           (0x40).to_bytes(4, "little"))
+        traces = hot.cpu._traces
+        assert head not in traces
+        assert all(patch_pc not in (pc for pc, _insn in trace[3])
+                   for trace in traces.values())
+        assert traces[patch_pc + 6][0] is None        # suffix, pending
+        assert _state(hot) == _state(plain)
+        assert _run_both(hot, plain, 1_000) == "exit"
+    assert counter.compiled == 1 and counter.executed >= 1
+    assert all(pc != patch_pc
+               for items in counter.compiled_items for pc, _insn in items)
+    fresh = decode(hot.memory.read, patch_pc)
+    assert fresh.operands[1] == 0x40
+    assert hot.cpu._decode_cache[patch_pc] == fresh
+
+
+def test_rollback_across_code_epoch_replans_and_restarts_counts():
+    """A rollback across a code patch drops every plan and supercell;
+    ``restore_full`` re-plans the text from the restored bytes with
+    fresh entry counts, so the head compiles again only on its
+    threshold-th entry after the rollback."""
+    threshold = cpu_module.FUSION_THRESHOLD
+    hot, plain = _handover_twins(iters=threshold + 3)
+    head = hot.symbols["LP"]
+    planned = hot.cpu.fused_trace_count
+    snaps = [process.snapshot_full() for process in (hot, plain)]
+    with counting_supercells() as counter:
+        assert _run_both(hot, plain, 1_000) == "exit"
+        assert hot.cpu.compiled_trace_count == 1
+        for process, snap in zip((hot, plain), snaps):
+            process.memory.write_unchecked(head + 8,
+                                           (0x40).to_bytes(4, "little"))
+            process.restore_full(snap)
+        assert _state(hot) == _state(plain)
+        assert hot.cpu.fused_trace_count == planned
+        assert hot.cpu.compiled_trace_count == 0
+        assert _run_both(hot, plain,
+                         _steps_before_entry(threshold)) == "steps"
+        assert hot.cpu._traces[head][0] is None       # counts restarted
+        assert _run_both(hot, plain, 1) == "steps"
+        assert hot.cpu._traces[head][0] is not None
+        assert _run_both(hot, plain, 1_000) == "exit"
+    assert counter.compiled == 2 and counter.executed == 6
 
 
 # ---------------------------------------------------------------------------

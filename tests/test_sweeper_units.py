@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.antibody.vsef import VSEF
+from repro.apps.cvsd import build_cvsd
 from repro.apps.httpd import build_httpd
 from repro.apps.workload import benign_requests
 from repro.errors import VMFault
@@ -79,6 +80,24 @@ class TestClockAndCheckpoints:
                     "checkpoints_taken", "checkpoint_cost_seconds"):
             assert key in stats
         assert stats["requests_seen"] == 1
+
+    def test_stats_report_planned_and_compiled_traces(self):
+        """Traces are planned at load and compile only once their heads
+        get hot, so a fresh node reports plans but few supercells, and
+        serving traffic compiles some of them."""
+        sweeper = Sweeper(build_cvsd(), app_name="cvsd",
+                          config=SweeperConfig(seed=3))
+        booted = sweeper.stats()
+        cpu = sweeper.process.cpu
+        assert booted["fused_traces"] == cpu.fused_trace_count > 0
+        assert booted["compiled_supercells"] < booted["fused_traces"]
+        for request in benign_requests("cvsd", 8, seed=1):
+            sweeper.submit(request)
+        served = sweeper.stats()
+        assert served["fused_traces"] == booted["fused_traces"]
+        assert booted["compiled_supercells"] \
+            < served["compiled_supercells"] <= served["fused_traces"]
+        assert served["compiled_supercells"] == cpu.compiled_trace_count
 
 
 class TestForeignVSEFs:
