@@ -3,10 +3,12 @@
 Measures wall-clock guest instructions/second in the deployment modes
 the paper cares about:
 
-- **plain** — no tool, no VSEF: the batched loop over predecoded
-  executable cells (the common case whose cost Sweeper promises is ~0).
-- **vsef** — one armed vulnerability-specific filter: the checked loop
-  that adds a per-PC probe but still runs cells.
+- **plain** — no tool, no VSEF: the fused loop over supercells and
+  predecoded executable cells (the common case whose cost Sweeper
+  promises is ~0).
+- **vsef** — one armed vulnerability-specific filter at the helper
+  entry: the same fused loop, where the watched pc misses to ``step()``
+  (which runs the check) and the traces covering it run per cell.
 - **instrumented** — a lightweight analysis tool attached (ins/mem/reg/
   branch events): the fully instrumented step() path.
 - **stepped** — the plain deployment driven one step() at a time, i.e.
@@ -121,8 +123,9 @@ class _LightAnalysis(Tool):
 
 
 def _arm_vsef(process):
-    """A benign null_check-shaped probe at the helper entry: the per-PC
-    dict lookup is the cost being measured, as in §5.3."""
+    """A benign null_check-shaped probe at the helper entry: the cost
+    being measured, as in §5.3, is that pc's step() fallback and the
+    traces covering it running per cell."""
     addr = process.symbols.get("helper", process.symbols["main"])
 
     def check(cpu, insn):

@@ -89,9 +89,10 @@ class NullSink:
     The machine layer never tests ``hooks.active`` on its emit paths any
     more; it calls ``hooks.sink.<event>(...)`` unconditionally, and while
     no tool is attached that sink is this shared singleton.  The batched
-    execution loop goes one step further and selects a *plain* inner loop
-    (whose handlers contain no hook calls at all) once per run, so the
-    uninstrumented per-instruction cost of the event bus is zero.
+    execution loop goes one step further: while no tool is attached it
+    runs the *fused* loop, whose cells and supercells contain no hook
+    calls at all, so the uninstrumented per-instruction cost of the event
+    bus is zero outside the ``step()`` fallbacks.
     """
 
     active = False

@@ -17,17 +17,18 @@ Design notes tied to the paper:
 - **Two-speed execution** — the paper's whole bargain is that the common
   case (no deployed analysis) is nearly free while full analysis may be
   20-1000x.  The CPU therefore has a batched :meth:`run` that selects an
-  inner loop *once* per batch: a **plain** loop over predecoded
-  executable cells (no hook calls, no pre-check probes, no per-step
-  decode), a **checked** loop that adds only the per-PC VSEF probe, or
-  the fully instrumented :meth:`step` loop when any tool is attached.
-  All three produce bit-identical guest-visible state and cycle counts.
+  inner loop *once* per batch: the **fused** loop over supercells and
+  predecoded executable cells (no hook calls, no pre-check probes, no
+  per-step decode), or the **instrumented** loop when any tool is
+  attached.  Both produce the same guest-visible state and cycle counts
+  as :meth:`step`, bit for bit.
 
 - **VSEF fast path** — deployed vulnerability-specific execution filters
-  register per-PC pre-execution checks in ``pre_checks``.  The common
-  case is a single dict lookup per instruction, and zero per-instruction
-  work when no VSEF is deployed; this is why VSEF overhead is ~1% while
-  full analysis is 20-1000x (§5.3).
+  register per-PC pre-execution checks in ``pre_checks``.  A watched pc
+  has no entry in the fused loop's dispatch table, so only it misses to
+  :meth:`step`, which runs its checks; every other instruction, and
+  every trace that does not cover a watched pc, stays fused.  This is
+  why VSEF overhead is ~1% while full analysis is 20-1000x (§5.3).
 
 - **Virtual clock** — one cycle per instruction, plus per-byte costs in
   natives.  ``CPU_HZ`` converts cycles to the virtual seconds used by all
@@ -43,7 +44,7 @@ from repro.errors import (FAULT_BADPC, FAULT_DIVZERO, FAULT_ILLEGAL,
                           EncodingError, ProcessExited, VMFault)
 from repro.isa.encoding import (OP_LENGTHS, Insn, block_leaders, decode,
                                 decode_range)
-from repro.isa.opcodes import (ALU_FUNCS, ALU_OPS, CONTROL_TRANSFER_OPS, FP,
+from repro.isa.opcodes import (ALU_FUNCS, ALU_OPS, CONTROL_TRANSFER_OPS,
                                OP_SIGNATURES, PREDICATE_FUNCS, SP, Op,
                                to_signed, to_unsigned)
 from repro.machine.execcore import (compile_cell, compile_instrumented_cell,
@@ -66,7 +67,8 @@ MAX_INSN_LENGTH = max(OP_LENGTHS.values())
 
 #: Longest straight-line run fused into one supercell.  Bounds generated
 #: code size and how often a step budget smaller than a trace forces the
-#: per-cell tail path.
+#: per-cell tail path; the fused loop relies on it as the most any one
+#: dispatch can execute.
 FUSION_LIMIT = 32
 
 #: Entries into a planned trace's head before its supercell is compiled.
@@ -146,11 +148,14 @@ class CPU:
         #: The fused loop's dispatch table: pc -> (fn, insn count).
         #: Every cell appears with count 1; a pending trace head maps to
         #: a k=1 entry that counts entries and runs the head's cell, a
-        #: compiled one to its supercell.
+        #: compiled one to its supercell.  A watched pc has no entry, so
+        #: the loop misses to step(), and a head whose trace covers one
+        #: maps to its own cell.
         self._hot: dict[int, tuple] = {}
-        #: Tier switch: False forces the plain per-cell loop even with
-        #: traces planned (differential testing, debugging).
-        self.fusion_enabled = True
+        #: The pcs ``_hot`` treats as watched: ``pre_checks``' keys as of
+        #: the last :meth:`_sync_watched` (on entry to the fused loop and
+        #: after each of its step() fallbacks).
+        self._watched: set[int] = set()
         #: Set by a faulting supercell: (faulting pc, uncharged cycles).
         self._trace_fault: tuple[int, int] | None = None
         #: Bound-method dispatch table for the general execute path.
@@ -228,7 +233,7 @@ class CPU:
             cell = compile_cell(self, pc, insn)
             if cell is not None:
                 self._cells[pc] = cell
-                if pc not in self._traces:
+                if pc not in self._traces and pc not in self._watched:
                     self._hot[pc] = (cell, 1)
         self._fuse_stream(stream)
 
@@ -312,9 +317,8 @@ class CPU:
                 run.extend(nxt[:FUSION_LIMIT - len(run)])
 
     def _plan_traces(self, run: list[tuple[int, Insn]]):
-        """Plan ``run`` as ``FUSION_LIMIT``-sized traces.  Each head's
-        ``_hot`` entry becomes a pending k=1 entry that counts entries;
-        with ``FUSION_THRESHOLD`` 0 the supercell compiles right away."""
+        """Plan ``run`` as ``FUSION_LIMIT``-sized traces and install
+        each head (:meth:`_install_head`)."""
         for base in range(0, len(run), FUSION_LIMIT):
             items = run[base:base + FUSION_LIMIT]
             if len(items) < 2:
@@ -323,10 +327,33 @@ class CPU:
             last_pc, last_insn = items[-1]
             self._traces[head] = (None, len(items),
                                   last_pc + last_insn.length, tuple(items))
-            if FUSION_THRESHOLD > 0:
-                self._hot[head] = (self._pending_head(head), 1)
-            else:
-                self._compile_planned(head)
+            self._install_head(head)
+
+    def _install_head(self, head: int):
+        """Point ``head``'s ``_hot`` entry at its trace: the supercell,
+        or a pending k=1 entry that counts entries (with
+        ``FUSION_THRESHOLD`` 0 the supercell compiles right away).  A
+        trace covering a watched pc is not entered: its head runs its
+        own cell, or misses to step() if it is watched itself."""
+        fn, k, _end, members = self._traces[head]
+        watched = self._watched
+        if watched and any(pc in watched for pc, _insn in members):
+            self._install_cell(head)
+        elif fn is not None:
+            self._hot[head] = (fn, k)
+        elif FUSION_THRESHOLD > 0:
+            self._hot[head] = (self._pending_head(head), 1)
+        else:
+            self._compile_planned(head)
+
+    def _install_cell(self, pc: int):
+        """Point ``_hot[pc]`` at the pc's own cell; no entry when it has
+        none or is watched."""
+        cell = self._cells.get(pc)
+        if cell is None or pc in self._watched:
+            self._hot.pop(pc, None)
+        else:
+            self._hot[pc] = (cell, 1)
 
     def _pending_head(self, head: int) -> Callable:
         """The ``_hot`` cell of a planned trace's head: count the entry,
@@ -347,7 +374,25 @@ class CPU:
         _fn, k, end, members = self._traces[head]
         fn = compile_trace(self, list(members))
         self._traces[head] = (fn, k, end, members)
-        self._hot[head] = (fn, k)
+        self._install_head(head)
+
+    def _sync_watched(self):
+        """Make ``_watched`` equal ``pre_checks``' keys and re-install
+        the ``_hot`` entries the difference touches: a newly watched pc
+        loses its entry and every trace covering it falls back to its
+        head's cell; once no watched pc is left in a trace, its
+        supercell or pending entry comes back (a pending head counts
+        its entries afresh)."""
+        watched = self._watched
+        changed = watched.symmetric_difference(self.pre_checks)
+        watched.clear()
+        watched.update(self.pre_checks)
+        heads = [head for head, trace in self._traces.items()
+                 if any(pc in changed for pc, _insn in trace[3])]
+        for pc in changed.difference(heads):
+            self._install_cell(pc)
+        for head in heads:
+            self._install_head(head)
 
     def invalidate_code(self, start: int | None = None,
                         end: int | None = None):
@@ -377,10 +422,7 @@ class CPU:
                      if any(m_pc < end and m_pc + m_insn.length > start
                             for m_pc, m_insn in t[3])]:
             members = self._traces.pop(head)[3]
-            self._hot.pop(head, None)
-            cell = self._cells.get(head)
-            if cell is not None:
-                self._hot[head] = (cell, 1)
+            self._install_cell(head)
             # Re-split into maximal still-valid chains: members whose
             # cells survived, linked either by address contiguity or by
             # a jump/call whose immediate target is the next member (a
@@ -428,7 +470,7 @@ class CPU:
             cell = compile_cell(self, pc, insn)
             if cell is not None:
                 self._cells[pc] = cell
-                if pc not in self._traces:
+                if pc not in self._traces and pc not in self._watched:
                     self._hot[pc] = (cell, 1)
         return insn
 
@@ -458,26 +500,29 @@ class CPU:
     def step(self):
         """Execute one instruction (or one native call at a native entry).
 
-        This is the general path: it probes the VSEF table, emits every
-        instrumentation event through the hook sink, and dispatches
-        through the bound-method table.  The batched :meth:`run` only
-        falls back here for natives, syscalls, HALT, writable-memory
-        code, or while a tool is attached.
+        This is the general path and the machine's only uninstrumented
+        VSEF probe: it runs the pc's pre-checks (``insn`` is None at a
+        native entry), emits every instrumentation event through the
+        hook sink, and dispatches through the bound-method table.  The
+        batched :meth:`run` falls back here for natives, syscalls, HALT,
+        writable-memory code and watched pcs.
         """
         self.state_version += 1
         pc = self.pc
         native = self.native_entries.get(pc)
-        if native is not None:
-            native(self, pc)
-            return
-        insn = self._decode_cache.get(pc)
-        if insn is None:
-            insn = self._decode_at(pc)
+        insn = None
+        if native is None:
+            insn = self._decode_cache.get(pc)
+            if insn is None:
+                insn = self._decode_at(pc)
         if self.pre_checks:
             checks = self.pre_checks.get(pc)
             if checks:
                 for check in checks:
                     check(self, insn)
+        if native is not None:
+            native(self, pc)
+            return
         hk = self.hooks.sink
         hk.ins(pc, insn, self)
         self.cycles += 1
@@ -487,33 +532,27 @@ class CPU:
             max_cycles: int | None = None) -> str:
         """Batched execution until a budget is exhausted.
 
-        Selects the cheapest inner loop the current deployment allows —
-        fused supercells, plain cells, cells + VSEF probes, or
-        instrumented step() — and re-selects whenever a fallback step
-        changes the deployment.  Armed VSEF checks disable the fused
-        tier entirely: every probe PC must be probed per instruction, so
-        execution falls back to per-cell until the filters are removed.
-        Returns ``"steps"`` or ``"cycles"`` (which budget tripped);
-        faults, syscall blocking and process exit propagate as
-        exceptions.  With no budgets it runs until one of those.
+        Runs the fused loop (:meth:`_run_fused`) while no tool is
+        attached and the instrumented loop otherwise; a fallback step
+        that attaches a tool hands the rest of the budget over.  Armed
+        VSEF checks keep the fused loop: their pcs miss to
+        :meth:`step`, and only traces covering one run per cell until
+        it is disarmed.  Returns ``"steps"`` or ``"cycles"`` (which
+        budget tripped); faults, syscall blocking and process exit
+        propagate as exceptions.  With no budgets it runs until one of
+        those.
         """
         self.state_version += 1
         steps_left = max_steps
         cycle_cap = self.cycles + max_cycles if max_cycles is not None \
             else None
-        while True:
-            if self.hooks.active:
-                return self._run_instrumented(steps_left, cycle_cap)
-            if self.pre_checks:
-                done, reason = self._run_fast(steps_left, cycle_cap, True)
-            elif self.fusion_enabled and self._traces:
-                done, reason = self._run_fused(steps_left, cycle_cap)
-            else:
-                done, reason = self._run_fast(steps_left, cycle_cap, False)
+        if not self.hooks.active:
+            done, reason = self._run_fused(steps_left, cycle_cap)
             if reason is not None:
                 return reason
             if steps_left is not None:
                 steps_left -= done
+        return self._run_instrumented(steps_left, cycle_cap)
 
     def _run_instrumented(self, steps_left: int | None,
                           cycle_cap: int | None) -> str:
@@ -556,25 +595,41 @@ class CPU:
 
     def _run_fused(self, steps_left: int | None,
                    cycle_cap: int | None) -> tuple[int, str | None]:
-        """The fused hot loop: supercells where traces are compiled,
-        plain cells everywhere else, no VSEF probes, no hook dispatch.
+        """The uninstrumented loop: supercells where traces are
+        compiled, cells everywhere else, no VSEF probes, no hook
+        dispatch.
 
-        ``_hot`` maps every predecoded pc to ``(fn, k)``; one dict probe
-        dispatches either a single cell (k=1, including a pending trace
-        head counting its way to ``FUSION_THRESHOLD``) or a whole
-        straight-line trace (k instructions in one call).  Budgets stay
-        exact: a trace larger than the remaining chunk is executed
+        ``_hot`` maps every predecoded pc but the watched ones to
+        ``(fn, k)``; one dict probe dispatches either a single cell
+        (k=1, including a pending trace head counting its way to
+        ``FUSION_THRESHOLD``) or a whole straight-line trace (k
+        instructions in one call).  A miss — native entry, SYS/HALT,
+        writable-memory, unmapped or watched code — flushes and takes
+        :meth:`step`.  The watched set is re-synced on entry and after
+        each such step, which may have armed or disarmed a check.
+
+        Cells cost exactly one cycle and a supercell its k, so both
+        budgets convert into one instruction count per chunk.  No entry
+        is longer than ``FUSION_LIMIT``, so each chunk first runs
+        ``chunk - FUSION_LIMIT`` instructions with no per-entry budget
+        test; in the rest, a trace larger than what remains is executed
         per-cell instead, so a budget can pause execution mid-trace and
-        resume (possibly on a different tier) from any member pc.  A
-        faulting supercell reports the faulting pc and its uncharged
-        tail cycles through ``_trace_fault``; the ``finally`` below
-        settles both, keeping fault-time state bit-identical to
-        per-cell execution.
+        resume from any member pc.  A faulting supercell reports the
+        faulting pc and its uncharged tail cycles through
+        ``_trace_fault``; the ``finally`` below settles both, keeping
+        fault-time state bit-identical to per-cell execution.  Returns
+        ``(steps_executed, reason)``; a ``None`` reason means a fallback
+        step attached a tool.
         """
         hot_get = self._hot.get
         cells_get = self._cells.get
         hooks = self.hooks
         prechecks = self.pre_checks
+        watched = self._watched
+        # Testing truthiness first spares the common case (nothing armed
+        # or watched) the set comparison, which costs ~4x as much.
+        if (prechecks or watched) and watched != prechecks.keys():
+            self._sync_watched()
         pc = self.pc
         done = 0
         n = 0          # instructions executed since the last flush
@@ -590,28 +645,38 @@ class CPU:
                 if chunk <= 0:
                     return done, "steps"
                 n = 0
-                while n < chunk:
+                # No entry runs more than FUSION_LIMIT instructions, so
+                # the prefix cannot overrun the chunk.
+                prefix = chunk - FUSION_LIMIT
+                while n < prefix:
                     entry = hot_get(pc)
                     if entry is None:
                         break
                     fn, k = entry
-                    m = n + k
-                    if m > chunk:
-                        # The whole trace does not fit the budget: take
-                        # one member cell (k=1 never lands here).
-                        n += 1
-                        pc = cells_get(pc)(self)
-                        continue
-                    n = m
+                    n += k
                     pc = fn(self)
                 else:
-                    # Chunk exhausted without a miss: flush, re-derive.
-                    self.cycles += n
-                    done += n
-                    n = 0
-                    continue
-                # Hot miss: native entry, SYS/HALT, writable-memory or
-                # unmapped code.  Flush and take the general path.
+                    while n < chunk:
+                        entry = hot_get(pc)
+                        if entry is None:
+                            break
+                        fn, k = entry
+                        m = n + k
+                        if m > chunk:
+                            # The whole trace does not fit the budget:
+                            # take one member cell (k=1 never lands here).
+                            n += 1
+                            pc = cells_get(pc)(self)
+                            continue
+                        n = m
+                        pc = fn(self)
+                    else:
+                        # Chunk exhausted without a miss: flush, re-derive.
+                        self.cycles += n
+                        done += n
+                        n = 0
+                        continue
+                # Hot miss: flush and take the general path.
                 self.pc = pc
                 self.cycles += n
                 done += n
@@ -619,8 +684,10 @@ class CPU:
                 self.step()
                 pc = self.pc
                 done += 1
-                if hooks.active or prechecks:
+                if hooks.active:
                     return done, None
+                if (prechecks or watched) and watched != prechecks.keys():
+                    self._sync_watched()
         finally:
             fault = self._trace_fault
             if fault is None:
@@ -630,92 +697,6 @@ class CPU:
                 self._trace_fault = None
                 self.pc = fault[0]
                 self.cycles += n - fault[1]
-
-    def _run_fast(self, steps_left: int | None, cycle_cap: int | None,
-                  checked: bool) -> tuple[int, str | None]:
-        """The batched hot loop over executable cells.
-
-        Invariant hoisting: no hook dispatch (no tool is attached), and
-        when ``checked`` is false no VSEF probe either.  Cells cost
-        exactly one cycle each, so the cycle budget converts into a pure
-        instruction count per chunk; anything that charges irregular
-        cycles (natives, syscalls, VSEF checks) flushes the chunk and
-        re-derives it.  Returns ``(steps_executed, reason)`` where a
-        ``None`` reason means the caller must re-select loops because a
-        fallback changed the deployment (e.g. a syscall attached a tool).
-        """
-        cells_get = self._cells.get
-        prechecks = self.pre_checks
-        decode_cache = self._decode_cache
-        hooks = self.hooks
-        pc = self.pc
-        done = 0
-        n = 0          # cells executed since the last flush: == cycles owed
-        try:
-            while True:
-                # Derive the largest chunk of 1-cycle cells both budgets
-                # allow; outside the chunk, budgets are exact.
-                chunk = _BIG if steps_left is None else steps_left - done
-                if cycle_cap is not None:
-                    room = cycle_cap - self.cycles
-                    if room < chunk:
-                        chunk = room
-                        if chunk <= 0:
-                            return done, "cycles"
-                if chunk <= 0:
-                    return done, "steps"
-                n = 0
-                while n < chunk:
-                    cell = cells_get(pc)
-                    if cell is None:
-                        break
-                    if checked:
-                        checks = prechecks.get(pc)
-                        if checks:
-                            self.pc = pc
-                            self.cycles += n
-                            done += n
-                            n = 0
-                            insn = decode_cache.get(pc)
-                            for check in checks:
-                                check(self, insn)
-                            if hooks.active:
-                                # A check attached a tool mid-run (PIN
-                                # attach): finish this instruction on
-                                # the instrumented path — the checks
-                                # already ran — then re-select loops.
-                                hk = hooks.sink
-                                hk.ins(pc, insn, self)
-                                self.cycles += 1
-                                self._dispatch[insn.op](pc, insn, hk)
-                                pc = self.pc
-                                done += 1
-                                return done, None
-                            # Checks charge cycles; re-derive the chunk.
-                            chunk = 0
-                            # fall through to execute this cell below
-                    n += 1
-                    pc = cell(self)
-                else:
-                    # Chunk exhausted without a miss: flush and re-derive.
-                    self.cycles += n
-                    done += n
-                    n = 0
-                    continue
-                # Cell miss: native entry, SYS/HALT, writable-memory or
-                # unmapped code.  Flush and take the general path.
-                self.pc = pc
-                self.cycles += n
-                done += n
-                n = 0
-                self.step()
-                pc = self.pc
-                done += 1
-                if hooks.active or bool(prechecks) != checked:
-                    return done, None
-        finally:
-            self.pc = pc
-            self.cycles += n
 
     # -- general-path opcode handlers (bound-method dispatch) ----------------
 
@@ -887,8 +868,3 @@ _DISPATCH_NAMES.update({
     Op.HALT: "_op_halt",
 })
 assert set(_DISPATCH_NAMES) == set(OP_SIGNATURES), "dispatch table incomplete"
-
-
-# Re-export register aliases for convenience of callers.
-REG_SP = SP
-REG_FP = FP

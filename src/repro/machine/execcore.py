@@ -483,10 +483,6 @@ def _popr(cpu, pc, insn):
     return run
 
 
-#: Opcodes that compile to cells (everything except SYS/HALT).
-COMPILABLE_OPS = frozenset(_FACTORIES)
-
-
 def compile_instrumented_cell(cpu, pc: int, insn: Insn):
     """Compile the *instrumented* form of ``insn`` at ``pc``.
 

@@ -218,11 +218,6 @@ class Process:
         fn = NATIVES[name]
 
         def handler(cpu: CPU, pc: int):
-            if cpu.pre_checks:
-                checks = cpu.pre_checks.get(pc)
-                if checks:
-                    for check in checks:
-                        check(cpu, None)
             hk = self.hooks.sink
             hk.native(pc, name, tuple(cpu.regs[:4]))
             ctx = NativeContext(self, pc, name)
@@ -344,10 +339,10 @@ class Process:
             max_steps: int | None = None) -> RunResult:
         """Run until idle/exit/budget; faults propagate to the caller.
 
-        Execution is batched: the CPU selects the cheapest inner loop
-        the current deployment allows (plain predecoded cells when no
-        tool or VSEF is live) and runs it until a budget trips or the
-        guest blocks/exits/faults.
+        Execution is batched: the CPU runs its fused loop over
+        supercells and predecoded cells (the instrumented one while a
+        tool is attached) until a budget trips or the guest
+        blocks/exits/faults.
         """
         start = self.cpu.cycles
         try:

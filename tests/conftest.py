@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -85,12 +86,21 @@ def reference_layout():
     return ReferenceLayout()
 
 
+#: A ``FUSION_THRESHOLD`` no trace head reaches: under it the fused loop
+#: compiles nothing and runs cells only, the tier differentials' plain
+#: tier.  A pending head reads the threshold on every entry, so that
+#: tier's runs, not just its process builds, must be inside
+#: ``fusion_threshold(PLAIN_THRESHOLD)``.
+PLAIN_THRESHOLD = 1 << 62
+
+
 @contextlib.contextmanager
 def fusion_threshold(value: int):
     """Run the block with ``FUSION_THRESHOLD`` set to ``value``.  The
     tier differentials plan their fused tier at 0, which compiles every
     planned trace through the same install code when it is planned, so
-    that tier runs supercells from a head's first entry."""
+    that tier runs supercells from a head's first entry; their plain
+    tier runs at ``PLAIN_THRESHOLD``."""
     saved = cpu_module.FUSION_THRESHOLD
     cpu_module.FUSION_THRESHOLD = value
     try:
@@ -111,19 +121,23 @@ def eager_fusion():
 def counting_supercells():
     """Count the supercells compiled and executed inside the block.
 
-    Each compiled trace is wrapped in a shim that bumps ``executed`` and
-    calls through; ``compiled_items`` keeps every compiled member list,
-    so a test can show which bytes were ever compiled."""
-    counter = SimpleNamespace(compiled=0, executed=0, compiled_items=[])
+    Each compiled trace is wrapped in a shim that bumps ``executed``
+    (and ``executed_at[head]``) and calls through; ``compiled_items``
+    keeps every compiled member list, so a test can show which bytes
+    were ever compiled."""
+    counter = SimpleNamespace(compiled=0, executed=0, executed_at=Counter(),
+                              compiled_items=[])
     compile_trace = cpu_module.compile_trace
 
     def compile_counted(cpu, items):
         fn = compile_trace(cpu, items)
+        head = items[0][0]
         counter.compiled += 1
         counter.compiled_items.append(tuple(items))
 
         def counted(machine):
             counter.executed += 1
+            counter.executed_at[head] += 1
             return fn(machine)
         return counted
 

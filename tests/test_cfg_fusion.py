@@ -6,9 +6,9 @@ the trace — through unconditional immediate jumps (the target is the
 only successor) and into single-entry call targets (one predecessor,
 address never taken).  These tests pin the policy (what may and may not
 be extended), the bit-identical semantics of extended traces against
-the plain per-cell tier and raw ``step()`` (registers, flags, cycles,
-control ring, memory pages and the dirty bitmap), and the invalidation
-story when a patch lands inside a spliced region.
+the plain tier (no trace compiled) and raw ``step()`` (registers,
+flags, cycles, control ring, memory pages and the dirty bitmap), and the
+invalidation story when a patch lands inside a spliced region.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.errors import ProcessExited
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import Op
 from repro.machine.process import Process
-from tests.conftest import fusion_threshold
+from tests.conftest import PLAIN_THRESHOLD, fusion_threshold
 
 #: Straight-line chain of unconditionally-jump-linked blocks, with a
 #: dead block between the head and its target so the splice is
@@ -90,20 +90,20 @@ def _snap(process: Process) -> dict:
 
 def _run_tiers(source: str, seed: int = 9, max_steps: int = 1_000):
     """Run fused (every trace compiled up front), fused at the default
-    threshold, plain and stepped to completion; return the up-front
-    fused process plus its final snapshot (all four must already agree
-    — asserted here so every test gets the differential for free)."""
+    threshold, plain (no trace ever compiled) and stepped to completion;
+    return the up-front fused process plus its final snapshot (all four
+    must already agree — asserted here so every test gets the
+    differential for free)."""
     image = assemble(source)
     with fusion_threshold(0):
         fused = Process(image, seed=seed)
         assert fused.run(max_steps=max_steps).reason == "exit"
     handover = Process(image, seed=seed)
-    plain = Process(image, seed=seed)
-    plain.cpu.fusion_enabled = False
-    stepped = Process(image, seed=seed)
-    stepped.cpu.fusion_enabled = False
     assert handover.run(max_steps=max_steps).reason == "exit"
-    assert plain.run(max_steps=max_steps).reason == "exit"
+    with fusion_threshold(PLAIN_THRESHOLD):
+        plain = Process(image, seed=seed)
+        assert plain.run(max_steps=max_steps).reason == "exit"
+    stepped = Process(image, seed=seed)
     try:
         while True:
             stepped.cpu.step()
@@ -190,7 +190,7 @@ def test_patch_inside_spliced_region_resplits_trace():
 def test_budget_pause_inside_spliced_region_resumes_checked():
     """A step budget pausing inside the spliced-in portion of an
     extended trace must land on the exact next pc (in another block!)
-    and resume on the checked tier when a VSEF check is armed there."""
+    and fire a VSEF check armed there when execution resumes."""
     process = Process(assemble(_JMP_CHAIN), seed=6)
     _extended_members(process)
     result = process.run(max_steps=3)           # mov, jmp, part2's add

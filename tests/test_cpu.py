@@ -299,6 +299,26 @@ class TestVSEFFastPath:
         process.run()
         assert seen == ["MOVRI"]
 
+    def test_pre_check_in_lazily_decoded_code_fires_every_time(self):
+        """httpd's text layout: the linear sweep stops at the padding
+        after ``jmp start``, so the loop is decoded lazily when it first
+        runs.  A check armed at its head before then must fire on every
+        iteration, not just the one that decoded it."""
+        from repro.machine.process import load_program
+
+        source = (".text\nmain:\n jmp start\npad: .space 256\nstart:\n"
+                  " mov r5, 6\nloop:\n add r0, 1\n sub r5, 1\n cmp r5, 0\n"
+                  " jne loop\n halt\n")
+        process = load_program(source, layout=ReferenceLayout())
+        head = process.symbols["loop"]
+        assert head not in process.cpu._decode_cache
+        hits = []
+        process.cpu.pre_checks[head] = [
+            lambda cpu, insn: hits.append(insn.op.name)]
+        assert process.run().reason == "exit"
+        assert hits == ["ADDRI"] * 6
+        assert process.cpu.regs[0] == 6
+
 
 class TestPredecodeInvalidation:
     def _bare_cpu(self):

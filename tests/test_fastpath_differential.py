@@ -1,16 +1,17 @@
-"""Differential tests across the CPU's four run-loop tiers.
+"""Differential tests across the CPU's run-loop tiers.
 
-The batched CPU loop selects among four inner loops: **fused** (trace
-supercells + cells), **plain** (per-instruction cells), **checked**
-(cells + per-PC VSEF probes) and **instrumented** (step() with full
-event emission).  The contract is that the tier is *purely* an
-implementation detail: registers, flags, memory, cycle counts, the
-control ring and every fault must be bit-identical across all of them.
-These tests run the same guest programs down every tier — the fused one
-twice, with every trace compiled before its first entry and at the
-default ``FUSION_THRESHOLD`` — and diff the final machine state, and
-they exercise the dirty-page bitmap through snapshot/restore
-round-trips.
+The batched CPU loop runs one of two inner loops: the **fused** loop
+(trace supercells + cells) or, while a tool is attached, the
+**instrumented** loop (full event emission).  The fused loop is
+exercised in four shapes: with every trace compiled before its first
+entry, at the default ``FUSION_THRESHOLD``, as the **plain** tier (cells
+only: no trace ever gets hot) and as the **checked** tier (a benign
+VSEF check armed, so its pc misses to step()).  The contract is that
+the tier is *purely* an implementation detail: registers, flags,
+memory, cycle counts, the control ring and every fault must be
+bit-identical across all of them.  These tests run the same guest
+programs down every tier and diff the final machine state, and they
+exercise the dirty-page bitmap through snapshot/restore round-trips.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.errors import VMFault
 from repro.instrument.hooks import Tool
 from repro.isa.assembler import assemble
 from repro.machine.process import Process
-from tests.conftest import fusion_threshold
+from tests.conftest import PLAIN_THRESHOLD, fusion_threshold
 
 _ALU = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr"]
 _COND = ["je", "jne", "jl", "jle", "jg", "jge", "jb", "jae"]
@@ -86,32 +87,36 @@ def _machine_state(process: Process) -> dict:
 
 def _benign_check(cpu, insn):
     """A VSEF probe that fires without charging cycles or touching
-    state: arming it forces the checked run loop."""
+    state: arming it sends its pc to step()."""
 
 
 def run_differential(source: str, feeds=(), max_steps: int = 500_000,
                      seed: int = 7):
-    """Run ``source`` down all four run-loop tiers, the fused one with
-    every trace compiled up front and again at the default threshold;
-    assert identical state.  Returns the up-front fused process, the
-    instrumented one and its tool (kept for callers asserting on event
-    counts)."""
+    """Run ``source`` down every run-loop tier: fused with every trace
+    compiled up front and at the default threshold, plain, checked and
+    instrumented; assert identical state.  Returns the up-front fused
+    process, the instrumented one and its tool (kept for callers
+    asserting on event counts)."""
     image = assemble(source)
     with fusion_threshold(0):
         fused = Process(image, seed=seed)
     handover = Process(image, seed=seed)
-    plain = Process(image, seed=seed)
-    plain.cpu.fusion_enabled = False
     checked = Process(image, seed=seed)
     checked.cpu.pre_checks[checked.symbols[image.entry]] = [_benign_check]
     instrumented = Process(image, seed=seed)
     tool = TouchEverything()
     instrumented.hooks.attach(tool, instrumented)
-    processes = [fused, handover, plain, checked, instrumented]
+    processes = [fused, handover, checked, instrumented]
     for process in processes:
         for data in feeds:
             process.feed(data)
     results = [process.run(max_steps=max_steps) for process in processes]
+    with fusion_threshold(PLAIN_THRESHOLD):
+        plain = Process(image, seed=seed)
+        for data in feeds:
+            plain.feed(data)
+        results.append(plain.run(max_steps=max_steps))
+    processes.append(plain)
     states = [_machine_state(process) for process in processes]
     for result in results[1:]:
         assert result.reason == results[0].reason

@@ -5,13 +5,15 @@ loops, forward branches, loads/stores (aligned, unaligned and
 page-crossing), call/ret (direct and indirect), native library calls,
 balanced stack traffic, self-patching code executed from writable
 memory, and occasional faulting accesses.  Every program is executed
-under four drivers — the fused tier with every planned trace compiled
-before its first entry, the fused tier at the default
+under four drivers — the fused loop with every planned trace compiled
+before its first entry, the fused loop at the default
 ``FUSION_THRESHOLD`` (heads hand over from their cells to supercells
-mid-run), the plain per-cell tier, and a raw ``step()`` loop — through
-the same schedule of step-budget slices,
-with a benign VSEF check armed and disarmed between slices (so budgets
-can pause execution mid-trace and resume on the checked tier).  At
+mid-run), the plain tier (the fused loop with no trace ever compiled),
+and a raw ``step()`` loop — through the same schedule of step-budget
+slices, with a benign VSEF check armed inside a trace and disarmed
+between slices (so budgets can pause execution mid-trace, the armed pc
+misses to step() while its trace runs per cell, and the disarm brings
+the trace back).  At
 every slice boundary the full architectural state must be bit-identical:
 registers, flags, PC, cycle count, control ring, every memory page, the
 dirty-page bitmap, sent messages, VSEF hit sequences and any fault.
@@ -22,7 +24,9 @@ forward and across a checkpoint rollback), and mid-trace faults must
 charge exactly the executed prefix.  Handover tests pin lazy
 compilation at the default threshold: a head crossing the threshold at
 a slice boundary, a patch over a pending plan, and a rollback that
-re-plans and restarts the entry counts.
+re-plans and restarts the entry counts.  Arming tests pin that a
+watched pc takes only its own trace off fusion, for as long as it is
+armed.
 
 Seeds and program count come from ``FUSION_DIFF_SEED`` (comma-separated)
 and ``FUSION_DIFF_PROGRAMS``; CI runs the suite under two seeds.
@@ -30,7 +34,6 @@ and ``FUSION_DIFF_PROGRAMS``; CI runs the suite under two seeds.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import random
 
@@ -42,7 +45,8 @@ from repro.isa.encoding import decode
 from repro.isa.opcodes import Op
 from repro.machine import cpu as cpu_module
 from repro.machine.process import Process, _WouldBlock
-from tests.conftest import counting_supercells, fusion_threshold
+from tests.conftest import (PLAIN_THRESHOLD, counting_supercells,
+                            fusion_threshold)
 
 SEEDS = [int(s) for s in
          os.environ.get("FUSION_DIFF_SEED", "11,23").split(",")]
@@ -237,13 +241,12 @@ def _drive(image, seed: int, tier: str, schedule, check_pc: int | None):
     observations (run reason, state snapshot, fault, check hits).
 
     ``fused`` compiles every planned trace before its first entry;
-    ``handover`` runs at the default ``FUSION_THRESHOLD``."""
-    eager = fusion_threshold(0) if tier == "fused" \
-        else contextlib.nullcontext()
-    with eager:
+    ``plain`` never compiles one; ``handover`` runs at the default
+    ``FUSION_THRESHOLD``."""
+    threshold = {"fused": 0, "plain": PLAIN_THRESHOLD}.get(
+        tier, cpu_module.FUSION_THRESHOLD)
+    with fusion_threshold(threshold):
         process = Process(image, seed=seed)
-        if tier == "plain":
-            process.cpu.fusion_enabled = False
         run_slice = _run_slice_stepped if tier == "stepped" \
             else _run_slice_batched
         return _run_schedule(process, run_slice, schedule, check_pc)
@@ -316,11 +319,13 @@ def test_random_programs_bit_identical_across_tiers(seed):
                 other = _drive(image, proc_seed, tier, schedule, check_pc)
                 if tier == "handover":
                     handover_executed += counter.executed - before
+                elif tier == "plain":
+                    assert counter.executed == before
                 assert other == baseline, \
                     f"seed={seed} program={index} tier={tier} diverged"
     # The generator must actually exercise fusion, not vacuously pass:
     # supercells must *execute*, both compiled up front and after heads
-    # get hot at the default threshold.
+    # get hot at the default threshold (and never on the plain tier).
     assert programs_fused > NUM_PROGRAMS * 0.8
     assert handover_executed > 0
 
@@ -329,15 +334,17 @@ def test_random_programs_bit_identical_across_tiers(seed):
 # Targeted mid-trace fault accounting
 # ---------------------------------------------------------------------------
 
-def _tier_processes(source: str, seed: int = 3):
-    """A fused process with every trace compiled up front, and its
-    plain per-cell twin."""
+def _tier_faults(source: str, seed: int = 3):
+    """Run ``source`` to its fault on the fused tier, with every trace
+    compiled up front, and on its plain twin; return ``(process,
+    fault)`` for each."""
     image = assemble(source)
-    with fusion_threshold(0):
-        fused = Process(image, seed=seed)
-    plain = Process(image, seed=seed)
-    plain.cpu.fusion_enabled = False
-    return fused, plain
+    runs = []
+    for threshold in (0, PLAIN_THRESHOLD):
+        with fusion_threshold(threshold):
+            process = Process(image, seed=seed)
+            runs.append((process, _run_to_fault(process)))
+    return runs
 
 
 def _run_to_fault(process: Process):
@@ -350,10 +357,8 @@ def _run_to_fault(process: Process):
 
 def test_mid_trace_push_fault_charges_prefix_and_decrements_sp():
     source = ".text\nmain:\n mov r0, 7\n mov sp, 16\n push r0\n halt\n"
-    fused, plain = _tier_processes(source)
+    (fused, fault_fused), (plain, fault_plain) = _tier_faults(source)
     assert fused.cpu.fused_trace_count >= 1
-    fault_fused = _run_to_fault(fused)
-    fault_plain = _run_to_fault(plain)
     assert fault_fused == fault_plain
     assert fused.cpu.cycles == plain.cpu.cycles == 3
     assert fused.cpu.regs == plain.cpu.regs     # SP left decremented: 12
@@ -364,9 +369,7 @@ def test_mid_trace_push_fault_charges_prefix_and_decrements_sp():
 def test_mid_trace_div_zero_charges_prefix():
     source = (".text\nmain:\n mov r1, 0\n mov r0, 5\n div r0, r1\n"
               " add r0, 1\n halt\n")
-    fused, plain = _tier_processes(source)
-    fault_fused = _run_to_fault(fused)
-    fault_plain = _run_to_fault(plain)
+    (fused, fault_fused), (plain, fault_plain) = _tier_faults(source)
     assert fault_fused == fault_plain
     assert fault_fused[0] == "DIV_ZERO"
     assert fused.cpu.cycles == plain.cpu.cycles == 3
@@ -451,7 +454,7 @@ def test_patch_resplits_trace_into_prefix_and_suffix():
 def test_budget_pause_mid_trace_resumes_on_checked_tier():
     """A step budget can pause execution in the middle of a fused trace;
     a VSEF check armed at the next pc must fire when execution resumes
-    (per-cell, on the checked loop)."""
+    (that pc misses to step())."""
     source = (".text\nmain:\n mov r0, 0\n add r0, 1\n add r0, 2\n"
               " add r0, 4\n add r0, 8\n halt\n")
     process = Process(assemble(source), seed=0)
@@ -492,11 +495,12 @@ _LOOP_BODY = 6
 
 
 def _handover_twins(iters: int, seed: int = 5):
-    """The loop at the default threshold, and its plain per-cell twin."""
+    """The loop at the default threshold, and its plain twin (which
+    :func:`_run_both` runs with no trace ever compiled)."""
     image = assemble(_LOOP.format(iters=iters))
     hot = Process(image, seed=seed)
-    plain = Process(image, seed=seed)
-    plain.cpu.fusion_enabled = False
+    with fusion_threshold(PLAIN_THRESHOLD):
+        plain = Process(image, seed=seed)
     return hot, plain
 
 
@@ -510,7 +514,8 @@ def _run_both(hot: Process, plain: Process, max_steps: int) -> str:
     """One slice on each twin; registers, flags, pc, cycles, control
     ring, memory and dirty bitmap must agree after it."""
     reason = hot.run(max_steps=max_steps).reason
-    assert plain.run(max_steps=max_steps).reason == reason
+    with fusion_threshold(PLAIN_THRESHOLD):
+        assert plain.run(max_steps=max_steps).reason == reason
     assert _state(hot) == _state(plain)
     return reason
 
@@ -597,6 +602,75 @@ def test_rollback_across_code_epoch_replans_and_restarts_counts():
         assert hot.cpu._traces[head][0] is not None
         assert _run_both(hot, plain, 1_000) == "exit"
     assert counter.compiled == 2 and counter.executed == 6
+
+
+# ---------------------------------------------------------------------------
+# Arming: a watched pc takes only the traces covering it off fusion
+# ---------------------------------------------------------------------------
+
+#: Loops ``A`` and ``B`` run twice per round; each heads a planned trace.
+_TWO_LOOPS = """
+.text
+main:
+ mov r6, {rounds}
+round:
+ mov r5, 2
+A:
+ add r0, 3
+ add r0, 5
+ xor r0, r5
+ sub r5, 1
+ cmp r5, 0
+ jne A
+ mov r4, 2
+B:
+ add r1, 7
+ xor r1, r4
+ sub r4, 1
+ cmp r4, 0
+ jne B
+ sub r6, 1
+ cmp r6, 0
+ jne round
+ halt
+"""
+#: Steps per round: a mov, A's six-instruction body twice, a mov, B's
+#: five twice, and the round's three-instruction tail.
+_ROUND = 1 + 2 * 6 + 1 + 2 * 5 + 3
+
+
+def test_armed_check_keeps_other_traces_fused_until_disarmed():
+    """A check armed inside loop A fires on every pass while loop B
+    keeps executing its supercell; A's own trace runs per cell until
+    the check is disarmed, when its supercell comes back."""
+    image = assemble(_TWO_LOOPS.format(rounds=30))
+    hot = Process(image, seed=5)
+    with fusion_threshold(PLAIN_THRESHOLD):
+        plain = Process(image, seed=5)
+    loop_a, loop_b = hot.symbols["A"], hot.symbols["B"]
+    watched = loop_a + 6                              # A's second add
+    hot_hits, plain_hits = [], []
+    with counting_supercells() as counter:
+        assert _run_both(hot, plain, 1 + 5 * _ROUND) == "steps"
+        assert hot.cpu._traces[loop_a][0] is not None
+        assert hot.cpu._traces[loop_b][0] is not None
+        for process, seen in ((hot, hot_hits), (plain, plain_hits)):
+            process.cpu.pre_checks[watched] = [
+                lambda cpu, insn, seen=seen: seen.append(cpu.pc)]
+        before = counter.executed_at.copy()
+        assert _run_both(hot, plain, 10 * _ROUND) == "steps"
+        assert hot_hits == plain_hits == [watched] * 20
+        assert counter.executed_at[loop_a] == before[loop_a]
+        assert counter.executed_at[loop_b] - before[loop_b] == 20
+        assert watched not in hot.cpu._hot
+        assert hot.cpu._hot[loop_a][1] == 1
+        for process in (hot, plain):
+            del process.cpu.pre_checks[watched]
+        before = counter.executed_at.copy()
+        assert _run_both(hot, plain, 1_000) == "exit"
+        assert counter.executed_at[loop_a] - before[loop_a] == 30
+        assert counter.executed_at[loop_b] - before[loop_b] == 30
+    assert hot_hits == plain_hits == [watched] * 20
 
 
 # ---------------------------------------------------------------------------
